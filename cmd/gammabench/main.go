@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	gammabench [-quick] [-list] [-parallel N] [-json] [-kernel serial|partitioned]
-//	           [-kernel-workers N] [-fusion adaptive|off|all] [-lookahead US]
-//	           [-generation NAME] [-campaign-seed S] [-campaign-faults N]
+//	gammabench [-quick] [-list] [-parallel N] [-json] [-kernel-workers N]
+//	           [-fusion adaptive|off|all] [-generation NAME]
+//	           [-campaign-seed S] [-campaign-faults N]
 //	           [-experiment a,b] [experiment ...]
 //
 // With no experiment arguments every registered experiment runs; experiments
@@ -16,40 +16,31 @@
 //
 // -parallel N fans experiments and their independent data points across N
 // worker goroutines (default GOMAXPROCS). Every data point is its own
-// single-threaded simulation with a fixed seed, so the rendered tables are
+// deterministic simulation with a fixed seed, so the rendered tables are
 // byte-identical at any worker count. -json replaces the tables with a
 // machine-readable report (wall-clock and simulated-events/sec per
 // experiment). -cpuprofile and -memprofile write pprof profiles.
 //
-// -kernel selects the simulation kernel: "serial" (the default) or
-// "partitioned" (one shard per simulated node). Experiments whose Gamma
-// workload is safe for windowed execution derive a positive conservative
-// lookahead from the network's delivery-latency floor (Net.MinLatency), so
-// their partitioned simulations run truly parallel windows; the serial
-// kernel runs the identical partition on one worker and stays the
-// byte-exact oracle (same tables, JSON, and traces). Experiments that
-// inject faults, share machines across concurrent queries, or build
-// Teradata machines always run serialized at lookahead 0.
-// -kernel-workers bounds the goroutines a partitioned simulation may use
-// for conservative windows. -fusion selects the partitioned kernel's
-// adaptive shard-fusion mode (DESIGN.md §13): "adaptive" (the default)
-// coalesces shards onto shared heaps when barrier rounds run thin and
-// re-splits them when traffic returns, "off" pins one shard per group, and
-// "all" starts fully fused. -lookahead overrides the derived lookahead in
-// simulated microseconds: 0 forces fully serialized scheduling, a positive
-// value is capped at the latency floor (the largest provably safe value),
-// and -1 (the default) derives it. The GAMMA_KERNEL, GAMMA_KERNEL_WORKERS,
-// GAMMA_FUSION, and GAMMA_LOOKAHEAD environment variables provide the same
-// knobs to the test suite.
+// Every Gamma machine runs on a partitioned simulation, one shard per
+// simulated node, whose lookahead is the network's delivery-latency floor
+// (Net.MinLatency); the Teradata reference machines run on the plain
+// single-heap kernel. -kernel-workers bounds the goroutines each Gamma
+// simulation may use for conservative windows; the default, one worker, is
+// the serialized oracle, and every worker count produces byte-identical
+// tables, JSON and traces. Machines that arm faults, failover, healing,
+// shared scans or a multiuser workload run on one worker whatever the
+// budget. -fusion selects the partitioned kernel's adaptive shard-fusion
+// mode (DESIGN.md §13): "adaptive" (the default) coalesces shards onto
+// shared heaps when barrier rounds run thin and re-splits them when traffic
+// returns, "off" pins one shard per group, and "all" starts fully fused.
 //
 // -generation parameterizes every machine with a named hardware generation
 // (-list-generations enumerates them; the default is gamma1988, the paper's
-// VAX-era build). Unknown names are rejected with the valid list — the
-// GAMMA_GENERATION environment variable provides the same knob, and the
-// flag wins when both are set. The partitioned kernel derives its windows
-// from the generation's network latency floor, so fast generations lean on
-// the earliest-output-time scheduler (see DESIGN.md §12); the -json report
-// echoes the generation and adds the kernel's window counters.
+// VAX-era build). Unknown names are rejected with the valid list. The
+// partitioned kernel derives its windows from the generation's network
+// latency floor, so fast generations lean on the earliest-output-time
+// scheduler (see DESIGN.md §12); the -json report echoes the generation and
+// adds the kernel's window counters.
 package main
 
 import (
@@ -65,7 +56,6 @@ import (
 
 	"gamma/internal/bench"
 	"gamma/internal/config"
-	"gamma/internal/sim"
 )
 
 // jsonExperiment is one experiment's entry in the -json report.
@@ -85,11 +75,11 @@ type jsonExperiment struct {
 	ImageCacheHits   int64   `json:"image_cache_hits"`
 	ImageCacheMisses int64   `json:"image_cache_misses"`
 	// EOT window-scheduler counters, aggregated over every simulation the
-	// experiment ran; all zero when it executed on the serial kernel. The
+	// experiment ran; all zero when it ran on one worker. The
 	// counts are deterministic (they depend only on the event schedule and
 	// the declared floors/promises, not on worker interleaving).
-	// Every counter key is always present — zero-valued when the serial
-	// kernel ran — so downstream tooling never needs key-presence checks.
+	// Every counter key is always present — zero-valued on one worker —
+	// so downstream tooling never needs key-presence checks.
 	KernelWindows         int64              `json:"kernel_windows"`
 	KernelWindowOccupancy float64            `json:"kernel_window_occupancy"`
 	KernelEventsPerWindow float64            `json:"kernel_events_per_window"`
@@ -101,13 +91,10 @@ type jsonExperiment struct {
 }
 
 type jsonReport struct {
-	Suite      string `json:"suite"`      // "full" or "quick"
-	Kernel     string `json:"kernel"`     // "serial" or "partitioned"
-	Fusion     string `json:"fusion"`     // shard-fusion mode: "adaptive", "off", or "all"
-	Generation string `json:"generation"` // hardware generation the machines were parameterized with
-	// LookaheadUS echoes the -lookahead flag: -1 = derived from the
-	// network latency floor, 0 = forced serialized, else explicit µs.
-	LookaheadUS      int              `json:"lookahead_us"`
+	Suite            string           `json:"suite"`          // "full" or "quick"
+	KernelWorkers    int              `json:"kernel_workers"` // worker budget of each Gamma simulation
+	Fusion           string           `json:"fusion"`         // shard-fusion mode: "adaptive", "off", or "all"
+	Generation       string           `json:"generation"`     // hardware generation the machines were parameterized with
 	Workers          int              `json:"workers"`
 	GoMaxProcs       int              `json:"gomaxprocs"`
 	TotalWallSeconds float64          `json:"total_wall_seconds"`
@@ -124,10 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker goroutines for experiments and independent data points")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable report instead of tables")
-	kernel := fs.String("kernel", "", "simulation `kernel`: serial (default) or partitioned; partitioned shards each machine one-per-node with the serial order as oracle")
-	kernelWorkers := fs.Int("kernel-workers", 0, "worker goroutines per partitioned simulation's conservative windows (models with positive lookahead only)")
+	kernelWorkers := fs.Int("kernel-workers", 1, "worker goroutines per Gamma simulation's conservative windows (1 = the serialized oracle)")
 	fusionMode := fs.String("fusion", "", "partitioned-kernel shard-fusion `mode`: adaptive (default), off, or all")
-	lookahead := fs.Int("lookahead", -1, "conservative-window lookahead in simulated `microseconds` for windowed experiments: -1 derives it from the network latency floor, 0 forces serialized scheduling, positive values are capped at the floor")
 	generation := fs.String("generation", "", "hardware `generation` to parameterize the machines with (see -list-generations; default gamma1988)")
 	listGens := fs.Bool("list-generations", false, "list hardware generations and exit")
 	experiment := fs.String("experiment", "", "comma-separated experiment `ids` to run (adds to positional ids)")
@@ -163,12 +148,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts = bench.Quick()
 		suite = "quick"
 	}
-	// -generation wins over the GAMMA_GENERATION environment variable; both
-	// are validated strictly — a typo must not silently run gamma1988.
+	// A typo must not silently run gamma1988.
 	genName := *generation
-	if genName == "" {
-		genName = os.Getenv("GAMMA_GENERATION")
-	}
 	if genName != "" {
 		prm, ok := config.ByGeneration(genName)
 		if !ok {
@@ -181,16 +162,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		genName = "gamma1988"
 	}
-	switch *kernel {
-	case "", "serial", "partitioned":
-		opts.Kernel = *kernel
-	default:
-		fmt.Fprintf(stderr, "gammabench: -kernel must be serial or partitioned (got %q)\n", *kernel)
-		fs.Usage()
-		return 2
-	}
-	if *kernelWorkers < 0 {
-		fmt.Fprintf(stderr, "gammabench: -kernel-workers must be >= 0 (got %d)\n", *kernelWorkers)
+	if *kernelWorkers < 1 {
+		fmt.Fprintf(stderr, "gammabench: -kernel-workers must be >= 1 (got %d)\n", *kernelWorkers)
 		fs.Usage()
 		return 2
 	}
@@ -202,16 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gammabench: -fusion must be adaptive, off, or all (got %q)\n", *fusionMode)
 		fs.Usage()
 		return 2
-	}
-	switch {
-	case *lookahead < -1:
-		fmt.Fprintf(stderr, "gammabench: -lookahead must be -1 (derive), 0 (serialize), or a positive microsecond count (got %d)\n", *lookahead)
-		fs.Usage()
-		return 2
-	case *lookahead == 0:
-		opts.Lookahead = -1 // force serialized scheduling
-	case *lookahead > 0:
-		opts.Lookahead = sim.Dur(*lookahead)
 	}
 	if *campaignFaults < 0 {
 		fmt.Fprintf(stderr, "gammabench: -campaign-faults must be >= 0 (got %d)\n", *campaignFaults)
@@ -268,20 +231,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	total := time.Since(start)
 
 	if *jsonOut {
-		kernelName := *kernel
-		if kernelName == "" {
-			kernelName = "serial"
-		}
 		fusionName := *fusionMode
 		if fusionName == "" {
 			fusionName = "adaptive"
 		}
 		rep := jsonReport{
 			Suite:            suite,
-			Kernel:           kernelName,
+			KernelWorkers:    *kernelWorkers,
 			Fusion:           fusionName,
 			Generation:       genName,
-			LookaheadUS:      *lookahead,
 			Workers:          *parallel,
 			GoMaxProcs:       runtime.GOMAXPROCS(0),
 			TotalWallSeconds: total.Seconds(),
@@ -290,15 +248,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rep.ImageCacheHits += r.ImageHits
 			rep.ImageCacheMisses += r.ImageMisses
 			je := jsonExperiment{
-				ID:               r.ID,
-				Title:            r.Title,
-				WallSeconds:      r.Wall.Seconds(),
-				SetupWallSeconds: r.Setup.Seconds(),
-				QueryWallSeconds: r.QueryWall().Seconds(),
-				SimEvents:        r.Events,
-				EventsPerSec:     r.EventsPerSec(),
-				ImageCacheHits:   r.ImageHits,
-				ImageCacheMisses: r.ImageMisses,
+				ID:                 r.ID,
+				Title:              r.Title,
+				WallSeconds:        r.Wall.Seconds(),
+				SetupWallSeconds:   r.Setup.Seconds(),
+				QueryWallSeconds:   r.QueryWall().Seconds(),
+				SimEvents:          r.Events,
+				EventsPerSec:       r.EventsPerSec(),
+				ImageCacheHits:     r.ImageHits,
+				ImageCacheMisses:   r.ImageMisses,
 				KernelWindows:      r.Windows.Windows,
 				KernelPromises:     r.Windows.Promises,
 				KernelGroupWindows: r.Windows.GroupWindows,

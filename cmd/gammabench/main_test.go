@@ -128,9 +128,9 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestGenerationFlag: -generation and GAMMA_GENERATION select a hardware
-// generation, reject unknown names with the valid list before anything
-// simulates, and the flag wins over the environment.
+// TestGenerationFlag: -generation selects a hardware generation, rejects
+// unknown names with the valid list before anything simulates, and the
+// -json report echoes it.
 func TestGenerationFlag(t *testing.T) {
 	null := devNull(t)
 	var errBuf bytes.Buffer
@@ -142,12 +142,6 @@ func TestGenerationFlag(t *testing.T) {
 			t.Errorf("error output missing %q:\n%s", want, errBuf.String())
 		}
 	}
-	t.Setenv("GAMMA_GENERATION", "bogus")
-	if code := run([]string{"-quick", "table3"}, null, null); code != 2 {
-		t.Errorf("GAMMA_GENERATION=bogus: exit code %d, want 2", code)
-	}
-	// The explicit flag overrides the (bad) environment value and the -json
-	// report echoes the generation.
 	var out bytes.Buffer
 	if code := run([]string{"-quick", "-json", "-parallel", "1", "-generation", "rdma", "-experiment", "table3"}, &out, null); code != 0 {
 		t.Fatalf("-generation rdma run: exit code %d", code)
@@ -185,18 +179,20 @@ func TestRunRejectsBadParallel(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadLookahead(t *testing.T) {
+// TestRunRejectsBadKernelWorkers: -kernel-workers must be a positive
+// count, checked before anything simulates.
+func TestRunRejectsBadKernelWorkers(t *testing.T) {
 	null := devNull(t)
-	for _, v := range []string{"-2", "-100", "x"} {
-		if code := run([]string{"-lookahead", v, "table1"}, null, null); code != 2 {
-			t.Errorf("-lookahead %s: exit code %d, want 2", v, code)
+	for _, v := range []string{"0", "-2", "x"} {
+		if code := run([]string{"-kernel-workers", v, "table1"}, null, null); code != 2 {
+			t.Errorf("-kernel-workers %s: exit code %d, want 2", v, code)
 		}
 	}
 }
 
 // TestFusionFlag: -fusion rejects unknown modes before running anything,
-// the rendered tables are byte-identical across every fusion mode on the
-// partitioned kernel (the adaptive policy and the fully-fused start must be
+// the rendered tables are byte-identical across every fusion mode on four
+// kernel workers (the adaptive policy and the fully-fused start must be
 // invisible to results), and the -json report echoes the mode.
 func TestFusionFlag(t *testing.T) {
 	null := devNull(t)
@@ -211,7 +207,7 @@ func TestFusionFlag(t *testing.T) {
 	}
 	var byMode [3]bytes.Buffer
 	for i, mode := range []string{"adaptive", "off", "all"} {
-		args := []string{"-quick", "-parallel", "1", "-kernel", "partitioned", "-kernel-workers", "4",
+		args := []string{"-quick", "-parallel", "1", "-kernel-workers", "4",
 			"-fusion", mode, "-experiment", "bitvector"}
 		if code := run(args, &byMode[i], null); code != 0 {
 			t.Fatalf("-fusion %s: exit code %d", mode, code)
@@ -221,7 +217,7 @@ func TestFusionFlag(t *testing.T) {
 		t.Error("tables differ across fusion modes")
 	}
 	var out bytes.Buffer
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "-kernel", "partitioned",
+	if code := run([]string{"-quick", "-json", "-parallel", "1",
 		"-fusion", "all", "-experiment", "table3"}, &out, null); code != 0 {
 		t.Fatalf("-json with -fusion: exit code %d", code)
 	}
@@ -234,46 +230,35 @@ func TestFusionFlag(t *testing.T) {
 	}
 }
 
-// TestLookaheadInvariance: at positive lookahead the rendered tables are
-// byte-identical across the serial kernel (the oracle: same partition, one
-// worker), the partitioned kernel at the derived floor, and the partitioned
-// kernel at an explicit smaller window. -lookahead 0 (the pre-windowing
-// serialized model) must also run cleanly, and the -json report echoes the
-// flag.
-func TestLookaheadInvariance(t *testing.T) {
+// TestKernelWorkersInvariance: the rendered tables are byte-identical on
+// one kernel worker (the serialized oracle) and on four, for a Gamma-only
+// experiment and one with Teradata reference machines, and the -json report
+// echoes the worker budget.
+func TestKernelWorkersInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the same experiments four times")
+		t.Skip("runs the same experiments twice")
 	}
 	null := devNull(t)
-	var oracle, derived, explicit bytes.Buffer
+	var oracle, windowed bytes.Buffer
 	if code := run([]string{"-quick", "-parallel", "1", "table3", "bitvector"}, &oracle, null); code != 0 {
-		t.Fatalf("serial kernel: exit code %d", code)
+		t.Fatalf("one worker: exit code %d", code)
 	}
-	if code := run([]string{"-quick", "-parallel", "1", "-kernel", "partitioned", "table3", "bitvector"}, &derived, null); code != 0 {
-		t.Fatalf("derived lookahead: exit code %d", code)
+	if code := run([]string{"-quick", "-parallel", "1", "-kernel-workers", "4", "table3", "bitvector"}, &windowed, null); code != 0 {
+		t.Fatalf("four workers: exit code %d", code)
 	}
-	if code := run([]string{"-quick", "-parallel", "1", "-kernel", "partitioned", "-lookahead", "100", "table3", "bitvector"}, &explicit, null); code != 0 {
-		t.Fatalf("-lookahead 100: exit code %d", code)
-	}
-	if !bytes.Equal(oracle.Bytes(), derived.Bytes()) {
-		t.Error("serial-kernel and partitioned tables differ at derived lookahead")
-	}
-	if !bytes.Equal(derived.Bytes(), explicit.Bytes()) {
-		t.Error("tables differ between derived and explicit positive lookahead")
-	}
-	if code := run([]string{"-quick", "-parallel", "1", "-lookahead", "0", "-experiment", "bitvector"}, null, null); code != 0 {
-		t.Fatalf("-lookahead 0: exit code %d", code)
+	if !bytes.Equal(oracle.Bytes(), windowed.Bytes()) {
+		t.Error("tables differ between one and four kernel workers")
 	}
 	var out bytes.Buffer
-	if code := run([]string{"-quick", "-json", "-parallel", "1", "-lookahead", "100", "-experiment", "table3"}, &out, null); code != 0 {
-		t.Fatalf("-json with -lookahead: exit code %d", code)
+	if code := run([]string{"-quick", "-json", "-parallel", "1", "-kernel-workers", "4", "-experiment", "table3"}, &out, null); code != 0 {
+		t.Fatalf("-json with -kernel-workers: exit code %d", code)
 	}
 	var rep jsonReport
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("bad -json output: %v", err)
 	}
-	if rep.LookaheadUS != 100 {
-		t.Errorf("lookahead_us = %d, want 100", rep.LookaheadUS)
+	if rep.KernelWorkers != 4 {
+		t.Errorf("kernel_workers = %d, want 4", rep.KernelWorkers)
 	}
 }
 

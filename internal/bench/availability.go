@@ -179,9 +179,6 @@ func mttr(hs core.HealStats) (mean, max float64, restored int) {
 }
 
 func runAvailability(o Options) *Table {
-	// The partitioned kernel is the point of the scale rows; lookahead 0
-	// keeps it byte-identical to the serial oracle.
-	o.Kernel = "partitioned"
 	t := &Table{
 		ID:      "availability",
 		Title:   "Availability under a seeded fault campaign (mirrored, self-healing)",

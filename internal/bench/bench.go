@@ -8,9 +8,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -39,44 +37,17 @@ type Options struct {
 	// semaphore directly — but it is visible for reporting.
 	Workers int
 
-	// Kernel selects the simulation kernel: "serial" (or empty, the
-	// default) runs each machine on the single-heap serial kernel;
-	// "partitioned" builds each machine on a partitioned simulation with
-	// one shard per node. The Gamma network model interacts across nodes
-	// at the same simulated instant, so its partition declares lookahead
-	// 0 and executes serialized in merged global order — byte-identical
-	// to the serial kernel, which stays available as the oracle. The
-	// GAMMA_KERNEL environment variable overrides an empty Kernel.
-	Kernel string
-	// KernelWorkers is the worker-goroutine budget a partitioned
-	// simulation may use for conservative windows (effective with positive
-	// lookahead). GAMMA_KERNEL_WORKERS overrides zero.
+	// KernelWorkers is the worker-goroutine budget of each Gamma machine's
+	// partitioned simulation (see newSim); 0 or 1 runs the serialized
+	// oracle. Tables are byte-identical at every value.
 	KernelWorkers int
-	// Lookahead controls the conservative-window lookahead of windowed
-	// experiments: 0 derives it from the network's delivery-latency floor
-	// (Net.MinLatency, the largest value the model can prove safe), a
-	// positive value is used as-is but capped at that floor, and a negative
-	// value forces lookahead 0 (fully serialized scheduling, the
-	// pre-windowing kernel behavior). The GAMMA_LOOKAHEAD environment
-	// variable overrides zero: unset/empty = derive, "0" or negative =
-	// force serialized, positive = explicit µs. Only experiments that have
-	// opted into windowed execution are affected.
-	Lookahead sim.Dur
 	// Fusion selects the partitioned kernel's adaptive shard-fusion mode:
 	// "adaptive" (or empty, the default) engages the feedback policy that
 	// coalesces shards when barrier rounds run thin and re-splits them when
 	// traffic returns; "off" pins one shard per group (the pre-fusion
 	// scheduler); "all" starts fully fused and lets the policy probe its
-	// way back out. The GAMMA_FUSION environment variable overrides an
-	// empty value.
+	// way back out.
 	Fusion string
-
-	// windowedOK marks the experiment as safe for positive-lookahead
-	// windowed execution: its Gamma workload routes every cross-node
-	// interaction through the nose latency floor. Experiments that inject
-	// faults, share machines across concurrent queries, or build Teradata
-	// machines leave it false and always run at lookahead 0.
-	windowedOK bool
 
 	// CampaignSeed seeds the availability experiment's generated fault
 	// campaign (0 selects the default seed) and CampaignFaults sets how
@@ -147,141 +118,43 @@ func (o Options) withPage(pageBytes int) Options {
 	return o
 }
 
-// kernel resolves the kernel knob: the explicit Options value, then the
-// GAMMA_KERNEL environment variable, then the serial default.
-func (o Options) kernel() string {
-	if o.Kernel != "" {
-		return o.Kernel
-	}
-	if k := os.Getenv("GAMMA_KERNEL"); k != "" {
-		return k
-	}
-	return "serial"
-}
-
-// kernelWorkers resolves the window-worker budget (Options value, then
-// GAMMA_KERNEL_WORKERS, then 1 = serialized).
-func (o Options) kernelWorkers() int {
-	if o.KernelWorkers > 0 {
-		return o.KernelWorkers
-	}
-	if v := os.Getenv("GAMMA_KERNEL_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-// fusion resolves the shard-fusion knob: the explicit Options value, then
-// GAMMA_FUSION, then "adaptive".
-func (o Options) fusion() string {
-	if o.Fusion != "" {
-		return o.Fusion
-	}
-	if f := os.Getenv("GAMMA_FUSION"); f != "" {
-		return f
-	}
-	return "adaptive"
-}
-
-// fusionConfig maps the resolved knob to a kernel policy, or panics on an
-// unknown mode (mirroring the kernel knob's strictness).
+// fusionConfig maps the fusion knob to a kernel policy, or panics on an
+// unknown mode.
 func (o Options) fusionConfig() sim.Fusion {
-	switch f := o.fusion(); f {
-	case "adaptive":
+	switch o.Fusion {
+	case "", "adaptive":
 		return sim.Fusion{}
 	case "off":
 		return sim.Fusion{Off: true}
 	case "all":
 		return sim.Fusion{InitLevel: -1}
 	default:
-		panic(fmt.Sprintf("bench: unknown fusion mode %q (want adaptive, off, or all)", f))
+		panic(fmt.Sprintf("bench: unknown fusion mode %q (want adaptive, off, or all)", o.Fusion))
 	}
 }
 
-// windowed marks the experiment's machines as safe for positive-lookahead
-// windows. Experiments opt in at the top of their Run functions.
-func (o Options) windowed() Options {
-	o.windowedOK = true
-	return o
-}
-
-// serialized is the inverse: it pins the machines built from the returned
-// options at lookahead 0 (Teradata models, fault injection, shared-machine
-// concurrency).
-func (o Options) serialized() Options {
-	o.windowedOK = false
-	return o
-}
-
-// lookaheadSetting resolves the raw lookahead knob: the explicit Options
-// value, then GAMMA_LOOKAHEAD, then 0 (= derive).
-func (o Options) lookaheadSetting() sim.Dur {
-	if o.Lookahead != 0 {
-		return o.Lookahead
-	}
-	if v := os.Getenv("GAMMA_LOOKAHEAD"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			if n <= 0 {
-				return -1
-			}
-			return sim.Dur(n)
-		}
-	}
-	return 0
-}
-
-// resolveLookahead returns the kernel lookahead this experiment's machines
-// run at: 0 unless the experiment opted into windowed execution, otherwise
-// the configured lookahead clamped to (0, Net.MinLatency]. The latency
-// floor is the largest provably safe value — every remote delivery in the
-// nose model arrives at least MinLatency after it was sent — and also the
-// default.
-func (o Options) resolveLookahead() sim.Dur {
-	if !o.windowedOK {
-		return 0
-	}
-	floor := o.params().Net.MinLatency
-	if floor <= 0 {
-		return 0
-	}
-	la := o.lookaheadSetting()
-	switch {
-	case la < 0:
-		return 0
-	case la == 0 || la > floor:
-		return floor
-	default:
-		return la
-	}
-}
-
-// newSim builds a simulator wired to the experiment's event counter, so the
-// suite runner can report simulated events per second. With the
-// "partitioned" kernel selected the simulation is partitioned before the
-// machine is built, so nose.AddNode homes every node on its own shard; the
-// lookahead is resolveLookahead's (positive only for experiments that opted
-// into windowed execution). The "serial" kernel stays the oracle: for a
-// windowed experiment it runs the identical partitioned simulation with one
-// worker — same event-order keys, byte-identical traces — and for everything
-// else the plain single-heap kernel.
+// newSim builds the simulation a Gamma machine runs on, wired to the
+// experiment's event and window counters so the suite runner can report
+// simulated events per second. It is always partitioned one shard per node
+// with the network's delivery-latency floor (Net.MinLatency) as lookahead —
+// every cross-node effect in the Gamma model is a message at least that far
+// ahead — and runs on KernelWorkers workers; one worker is the serialized
+// oracle every other count reproduces byte for byte. A machine that arms
+// faults, failover, healing, shared scans or a multiuser workload pins its
+// simulation to one worker itself (sim.Sim.Pin).
 func (o Options) newSim() *sim.Sim {
+	s := o.plainSim()
+	s.Partition(o.params().Net.MinLatency)
+	s.SetWorkers(o.KernelWorkers)
+	s.SetFusion(o.fusionConfig())
+	return s
+}
+
+// plainSim builds an unpartitioned simulation wired to the experiment's
+// counters: the kernel of the Teradata reference machines, whose model
+// predates the latency floor.
+func (o Options) plainSim() *sim.Sim {
 	s := sim.New()
-	la := o.resolveLookahead()
-	switch k := o.kernel(); k {
-	case "serial":
-		if la > 0 {
-			s.Partition(la)
-			s.SetWorkers(1)
-		}
-	case "partitioned":
-		s.Partition(la)
-		s.SetWorkers(o.kernelWorkers())
-		s.SetFusion(o.fusionConfig())
-	default:
-		panic(fmt.Sprintf("bench: unknown kernel %q (want serial or partitioned)", k))
-	}
 	if o.events != nil {
 		s.SetEventCounter(o.events)
 	}
@@ -364,16 +237,6 @@ var registry []Experiment
 
 func register(id, title string, run func(o Options) *Table) {
 	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
-}
-
-// registerWindowed registers an experiment whose Gamma machines are safe to
-// run in positive-lookahead parallel windows: single-query-at-a-time
-// workloads with no fault injection, where every cross-node interaction
-// goes through the nose latency floor. The wrapper opts the experiment's
-// options in; machines that must stay serialized inside it (Teradata
-// references) opt back out individually.
-func registerWindowed(id, title string, run func(o Options) *Table) {
-	register(id, title, func(o Options) *Table { return run(o.windowed()) })
 }
 
 // Experiments lists all registered experiments in a stable order.

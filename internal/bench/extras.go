@@ -9,12 +9,12 @@ import (
 
 func init() {
 	register("aggregate", "Aggregate queries (deferred to [DEWI88] by the paper)", runAggregate)
-	registerWindowed("hybrid", "Ablation: Simple vs Hybrid hash join under memory pressure (§8)", runHybrid)
-	registerWindowed("bitvector", "Ablation: Babb bit-vector filters in split tables (§2)", runBitVector)
-	registerWindowed("pagesize-default", "Ablation: 4 KB vs 8 KB default page size (§8)", runPageSizeDefault)
+	register("hybrid", "Ablation: Simple vs Hybrid hash join under memory pressure (§8)", runHybrid)
+	register("bitvector", "Ablation: Babb bit-vector filters in split tables (§2)", runBitVector)
+	register("pagesize-default", "Ablation: 4 KB vs 8 KB default page size (§8)", runPageSizeDefault)
 	register("placement", "Placement: Remote joins shield concurrent selections (§6.2.1's deferred validation)", runPlacement)
 	register("recovery", "Ablation: the §8 recovery server's cost on the Table 1/3 workload", runRecovery)
-	registerWindowed("scaleup", "Scaleup: constant per-processor data as processors grow", runScaleup)
+	register("scaleup", "Scaleup: constant per-processor data as processors grow", runScaleup)
 }
 
 // runScaleup grows the database with the machine (12,500 tuples per disk

@@ -8,13 +8,13 @@ import (
 )
 
 func init() {
-	registerWindowed("fig9", "joinABprime on key attributes vs processors (Figure 9)", runFig9)
-	registerWindowed("fig10", "joinABprime on non-key attributes vs processors (Figure 10)", runFig10)
-	registerWindowed("fig11", "Speedup of key-attribute joins (Figure 11)", runFig11)
-	registerWindowed("fig12", "Speedup of non-key-attribute joins (Figure 12)", runFig12)
-	registerWindowed("fig13", "Join overflow: response time vs memory (Figure 13)", runFig13)
-	registerWindowed("fig14", "joinAselB vs disk page size (Figure 14)", runFig14)
-	registerWindowed("fig15", "Speedup of joinAselB vs disk page size (Figure 15)", runFig15)
+	register("fig9", "joinABprime on key attributes vs processors (Figure 9)", runFig9)
+	register("fig10", "joinABprime on non-key attributes vs processors (Figure 10)", runFig10)
+	register("fig11", "Speedup of key-attribute joins (Figure 11)", runFig11)
+	register("fig12", "Speedup of non-key-attribute joins (Figure 12)", runFig12)
+	register("fig13", "Join overflow: response time vs memory (Figure 13)", runFig13)
+	register("fig14", "joinAselB vs disk page size (Figure 14)", runFig14)
+	register("fig15", "Speedup of joinAselB vs disk page size (Figure 15)", runFig15)
 }
 
 var joinModes = []core.JoinMode{core.Local, core.Remote, core.AllNodes}

@@ -8,14 +8,14 @@ import (
 )
 
 func init() {
-	registerWindowed("fig1", "Non-indexed selections vs processors (Figure 1)", runFig1)
-	registerWindowed("fig2", "Speedup of non-indexed selections (Figure 2)", runFig2)
-	registerWindowed("fig3", "Indexed selections vs processors (Figure 3)", runFig3)
-	registerWindowed("fig4", "Speedup of indexed selections (Figure 4)", runFig4)
-	registerWindowed("fig5", "Non-indexed selections vs disk page size (Figure 5)", runFig5)
-	registerWindowed("fig6", "Speedup vs disk page size, non-indexed (Figure 6)", runFig6)
-	registerWindowed("fig7", "Indexed selections vs disk page size (Figure 7)", runFig7)
-	registerWindowed("fig8", "Speedup vs disk page size, indexed (Figure 8)", runFig8)
+	register("fig1", "Non-indexed selections vs processors (Figure 1)", runFig1)
+	register("fig2", "Speedup of non-indexed selections (Figure 2)", runFig2)
+	register("fig3", "Indexed selections vs processors (Figure 3)", runFig3)
+	register("fig4", "Speedup of indexed selections (Figure 4)", runFig4)
+	register("fig5", "Non-indexed selections vs disk page size (Figure 5)", runFig5)
+	register("fig6", "Speedup vs disk page size, non-indexed (Figure 6)", runFig6)
+	register("fig7", "Indexed selections vs disk page size (Figure 7)", runFig7)
+	register("fig8", "Speedup vs disk page size, indexed (Figure 8)", runFig8)
 }
 
 // fig1Curves are the non-indexed selectivities of Figures 1-2.

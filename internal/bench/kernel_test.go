@@ -1,15 +1,12 @@
 package bench
 
 // Kernel-equivalence acceptance tests: every experiment must produce
-// byte-identical tables, JSON results, and trace streams whichever kernel
-// the simulation runs on — the serial oracle or the partitioned kernel at
-// any worker count. Windowed experiments derive a positive lookahead from
-// the network's delivery-latency floor (Net.MinLatency) and run truly
-// parallel conservative windows; the serial oracle is the same partition on
-// one worker, so the dual-ord scheme makes the schedules identical and
-// these tests pin that identity byte for byte. Serialized experiments
-// (fault injection, shared machines, Teradata) still run at lookahead 0,
-// where the merged global order is provably the single-heap order. CI runs
+// byte-identical tables, JSON results, and trace streams at any kernel
+// worker count. Every Gamma machine runs on a partition whose lookahead is
+// the network's delivery-latency floor (Net.MinLatency); one worker is the
+// serialized oracle, and more workers run truly parallel conservative
+// windows — except on machines that pin themselves to one worker by arming
+// faults, failover, healing, shared scans or a multiuser workload. CI runs
 // this file under -race across a GOMAXPROCS × workers matrix.
 
 import (
@@ -26,34 +23,30 @@ import (
 	"gamma/internal/wisconsin"
 )
 
-// kernelVariants is the equivalence matrix: the serial oracle, the
-// partitioned kernel serialized and with a worker budget, and the worker
-// budget under each shard-fusion mode. An empty fusion follows the resolved
-// knob (GAMMA_FUSION or adaptive), so the CI fusion matrix reaches the plain
-// w4 variant too; "off" and "all" pin the extremes regardless.
+// kernelVariants is the equivalence matrix: the one-worker oracle, a
+// worker budget under the default adaptive fusion, and the worker budget
+// under each shard-fusion extreme.
 var kernelVariants = []struct {
 	name    string
-	kernel  string
 	workers int
 	fusion  string
 }{
-	{"serial", "serial", 0, ""},
-	{"partitioned-w1", "partitioned", 1, ""},
-	{"partitioned-w4", "partitioned", 4, ""},
-	{"partitioned-w4-unfused", "partitioned", 4, "off"},
-	{"partitioned-w4-fused", "partitioned", 4, "all"},
+	{"w1", 1, ""},
+	{"w4", 4, ""},
+	{"w4-unfused", 4, "off"},
+	{"w4-fused", 4, "all"},
 }
 
-// suiteArtifacts runs a cross-section of experiments on the given kernel
-// and returns the rendered tables and the JSON result document (the stable
-// parts of the gammabench -json report: wall-clock fields excluded).
-func suiteArtifacts(t *testing.T, kernel string, workers int, fusion string) (tables, jsonDoc []byte) {
+// suiteArtifacts runs a cross-section of experiments at the given worker
+// budget and returns the rendered tables and the JSON result document (the
+// stable parts of the gammabench -json report: wall-clock fields excluded).
+func suiteArtifacts(t *testing.T, workers int, fusion string) (tables, jsonDoc []byte) {
 	t.Helper()
-	// Windowed experiments (table1, fig1, fig9, scaleup, netgen — fig9
-	// exercises joins inside parallel windows, netgen the batched exchange
-	// of the fast-network generations) plus serialized ones (degraded,
-	// multiuser).
-	ids := []string{"table1", "fig1", "fig9", "scaleup", "netgen", "degraded", "multiuser"}
+	// fig9 exercises joins inside parallel windows, netgen the batched
+	// exchange of the fast-network generations, table3 every update
+	// operator; degraded, availability and multiuser arm faults, healing
+	// and workloads, which pin their machines to one worker.
+	ids := []string{"table1", "table3", "fig1", "fig9", "scaleup", "netgen", "degraded", "availability", "multiuser"}
 	var exps []Experiment
 	for _, id := range ids {
 		e, ok := Lookup(id)
@@ -63,7 +56,6 @@ func suiteArtifacts(t *testing.T, kernel string, workers int, fusion string) (ta
 		exps = append(exps, e)
 	}
 	o := tinyOptions()
-	o.Kernel = kernel
 	o.KernelWorkers = workers
 	o.Fusion = fusion
 	reports := RunSuite(exps, o, 2)
@@ -91,51 +83,37 @@ func TestKernelEquivalenceSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite cross-section is seconds-long; skipped in -short")
 	}
-	refTables, refJSON := suiteArtifacts(t, kernelVariants[0].kernel, kernelVariants[0].workers, kernelVariants[0].fusion)
+	refTables, refJSON := suiteArtifacts(t, kernelVariants[0].workers, kernelVariants[0].fusion)
 	for _, v := range kernelVariants[1:] {
-		tables, js := suiteArtifacts(t, v.kernel, v.workers, v.fusion)
+		tables, js := suiteArtifacts(t, v.workers, v.fusion)
 		if !bytes.Equal(tables, refTables) {
-			t.Errorf("%s: rendered tables differ from serial kernel (%d vs %d bytes)",
+			t.Errorf("%s: rendered tables differ from the one-worker oracle (%d vs %d bytes)",
 				v.name, len(tables), len(refTables))
 		}
 		if !bytes.Equal(js, refJSON) {
-			t.Errorf("%s: JSON results differ from serial kernel (%d vs %d bytes)",
+			t.Errorf("%s: JSON results differ from the one-worker oracle (%d vs %d bytes)",
 				v.name, len(js), len(refJSON))
 		}
 	}
 }
 
-// tracedWorkload builds a small traced Gamma machine on the given kernel
-// at the given lookahead, runs a heap selection and an indexed selection,
-// and returns the full trace stream bytes.
-func tracedWorkload(t *testing.T, kernel string, workers int, fusion string, la sim.Dur) []byte {
+// tracedWorkload builds a small traced Gamma machine partitioned at the
+// given lookahead, runs a heap selection and an indexed selection, and
+// returns the full trace stream bytes.
+func tracedWorkload(t *testing.T, workers int, fusion string, la sim.Dur) []byte {
 	t.Helper()
-	return tracedWorkloadOn(t, config.Default(), kernel, workers, fusion, la, nil)
+	return tracedWorkloadOn(t, config.Default(), workers, fusion, la, nil)
 }
 
 // tracedWorkloadOn is tracedWorkload under explicit hardware parameters,
 // with an optional hook run after the machine is built (floor-tightness
 // tests use it to over-declare a shard's output or channel floor).
-func tracedWorkloadOn(t *testing.T, prm config.Params, kernel string, workers int, fusion string, la sim.Dur, tweak func(m *core.Machine)) []byte {
+func tracedWorkloadOn(t *testing.T, prm config.Params, workers int, fusion string, la sim.Dur, tweak func(m *core.Machine)) []byte {
 	t.Helper()
-	var s *sim.Sim
-	switch kernel {
-	case "serial":
-		s = sim.New()
-		if la > 0 {
-			// The serial oracle for a windowed run: same partition, same
-			// ord keys, one worker.
-			s.Partition(la)
-			s.SetWorkers(1)
-		}
-	case "partitioned":
-		s = sim.New()
-		s.Partition(la)
-		s.SetWorkers(workers)
-		s.SetFusion(Options{Fusion: fusion}.fusionConfig())
-	default:
-		t.Fatalf("unknown kernel %q", kernel)
-	}
+	s := sim.New()
+	s.Partition(la)
+	s.SetWorkers(workers)
+	s.SetFusion(Options{Fusion: fusion}.fusionConfig())
 	m := core.NewMachine(s, &prm, 4, 4)
 	u1 := rel.Unique1
 	r := m.Load(core.LoadSpec{
@@ -164,19 +142,19 @@ func tracedWorkloadOn(t *testing.T, prm config.Params, kernel string, workers in
 
 // TestKernelEquivalenceTraces: the full structured event stream of a traced
 // Gamma workload is byte-identical on every kernel variant — the headline
-// invariant of the partitioned kernel — both serialized (lookahead 0) and
-// inside truly parallel windows at the derived latency-floor lookahead.
+// invariant of the partitioned kernel — both at lookahead 0 (merged global
+// order) and inside truly parallel windows at the latency-floor lookahead.
 func TestKernelEquivalenceTraces(t *testing.T) {
 	floor := config.Default().Net.MinLatency
 	if floor <= 0 {
 		t.Fatal("default params declare no latency floor")
 	}
 	for _, la := range []sim.Dur{0, floor} {
-		ref := tracedWorkload(t, kernelVariants[0].kernel, kernelVariants[0].workers, kernelVariants[0].fusion, la)
+		ref := tracedWorkload(t, kernelVariants[0].workers, kernelVariants[0].fusion, la)
 		for _, v := range kernelVariants[1:] {
-			got := tracedWorkload(t, v.kernel, v.workers, v.fusion, la)
+			got := tracedWorkload(t, v.workers, v.fusion, la)
 			if !bytes.Equal(got, ref) {
-				t.Errorf("%s at lookahead %v: trace stream differs from serial kernel (%d vs %d bytes)",
+				t.Errorf("%s at lookahead %v: trace stream differs from the one-worker oracle (%d vs %d bytes)",
 					v.name, la, len(got), len(ref))
 			}
 		}
@@ -220,7 +198,7 @@ func TestLookaheadFloorIsTight(t *testing.T) {
 					t.Fatalf("wrong panic: %v", r)
 				}
 			}()
-			tracedWorkloadOn(t, config.Default(), "partitioned", 1, "", tc.la, tc.tweak)
+			tracedWorkloadOn(t, config.Default(), 1, "", tc.la, tc.tweak)
 		})
 	}
 }
@@ -237,56 +215,54 @@ func TestKernelEquivalenceGenerations(t *testing.T) {
 	for _, gen := range config.Generations() {
 		prm := gen.Params()
 		la := prm.Net.MinLatency
-		ref := tracedWorkloadOn(t, prm, kernelVariants[0].kernel, kernelVariants[0].workers, kernelVariants[0].fusion, la, nil)
+		ref := tracedWorkloadOn(t, prm, kernelVariants[0].workers, kernelVariants[0].fusion, la, nil)
 		for _, v := range kernelVariants[1:] {
-			got := tracedWorkloadOn(t, prm, v.kernel, v.workers, v.fusion, la, nil)
+			got := tracedWorkloadOn(t, prm, v.workers, v.fusion, la, nil)
 			if !bytes.Equal(got, ref) {
-				t.Errorf("%s on %s: trace stream differs from serial kernel (%d vs %d bytes)",
+				t.Errorf("%s on %s: trace stream differs from the one-worker oracle (%d vs %d bytes)",
 					v.name, gen.Name, len(got), len(ref))
 			}
 		}
 	}
 }
 
-// TestKernelKnobEnvOverride: GAMMA_KERNEL/GAMMA_KERNEL_WORKERS select the
-// kernel when Options leave it empty, and an explicit Options value wins.
-func TestKernelKnobEnvOverride(t *testing.T) {
-	t.Setenv("GAMMA_KERNEL", "partitioned")
-	t.Setenv("GAMMA_KERNEL_WORKERS", "3")
-	o := Options{}
-	if !o.newSim().Partitioned() {
-		t.Error("GAMMA_KERNEL=partitioned ignored")
+// TestNewSimPartitionsAtLatencyFloor: every Gamma machine's simulation is
+// partitioned at the network's delivery-latency floor with the configured
+// worker budget, and the Teradata kernel stays unpartitioned.
+func TestNewSimPartitionsAtLatencyFloor(t *testing.T) {
+	for _, gen := range config.Generations() {
+		prm := gen.Params()
+		o := Options{Params: &prm, KernelWorkers: 3}
+		s := o.newSim()
+		if !s.Partitioned() || s.Lookahead() != prm.Net.MinLatency {
+			t.Errorf("%s: newSim partitioned=%v lookahead=%v, want the %v latency floor",
+				gen.Name, s.Partitioned(), s.Lookahead(), prm.Net.MinLatency)
+		}
+		if s.Workers() != 3 {
+			t.Errorf("%s: workers = %d, want 3", gen.Name, s.Workers())
+		}
 	}
-	if got := o.newSim().Workers(); got != 3 {
-		t.Errorf("GAMMA_KERNEL_WORKERS=3: workers = %d", got)
-	}
-	o.Kernel = "serial"
-	if o.newSim().Partitioned() {
-		t.Error("explicit Options.Kernel did not override the environment")
+	if (Options{}).plainSim().Partitioned() {
+		t.Error("plainSim is partitioned")
 	}
 }
 
-// TestFusionKnob: GAMMA_FUSION selects the shard-fusion mode when Options
-// leave it empty, an explicit Options value wins, and unknown modes panic.
+// TestFusionKnob: Options.Fusion selects the shard-fusion mode, empty means
+// adaptive, and unknown modes panic.
 func TestFusionKnob(t *testing.T) {
-	t.Setenv("GAMMA_FUSION", "") // the CI fusion matrix sets it for the process
-	o := Options{}
-	if got := o.fusion(); got != "adaptive" {
-		t.Errorf("default fusion mode = %q, want adaptive", got)
+	if f := (Options{}).fusionConfig(); f != (sim.Fusion{}) {
+		t.Errorf("default fusion config = %+v, want adaptive", f)
 	}
-	t.Setenv("GAMMA_FUSION", "off")
-	if !o.fusionConfig().Off {
-		t.Error("GAMMA_FUSION=off ignored")
+	if !(Options{Fusion: "off"}).fusionConfig().Off {
+		t.Error("Fusion=off ignored")
 	}
-	o.Fusion = "all"
-	if f := o.fusionConfig(); f.Off || f.InitLevel != -1 {
-		t.Errorf("explicit Options.Fusion=all did not override the environment: %+v", f)
+	if f := (Options{Fusion: "all"}).fusionConfig(); f.Off || f.InitLevel != -1 {
+		t.Errorf("Fusion=all: %+v", f)
 	}
-	o.Fusion = "everything"
 	defer func() {
 		if recover() == nil {
 			t.Error("unknown fusion mode did not panic")
 		}
 	}()
-	o.fusionConfig()
+	Options{Fusion: "everything"}.fusionConfig()
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	registerWindowed("netgen", "Hardware generations: the binding resource migrates as network/CPU/disk evolve", runNetgen)
+	register("netgen", "Hardware generations: the binding resource migrates as network/CPU/disk evolve", runNetgen)
 }
 
 // netgenPoint is one (generation, query) measurement: simulated seconds plus

@@ -27,7 +27,7 @@ type Report struct {
 	ImageMisses int64
 	// Windows aggregates the partitioned kernel's EOT window-scheduler
 	// counters across every simulation the experiment ran; all zero when
-	// the experiment executed on the serial kernel.
+	// every simulation ran on one worker.
 	Windows sim.WindowStats
 }
 

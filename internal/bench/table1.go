@@ -54,9 +54,8 @@ type teraSetup struct {
 // the image cache — only two data points per suite use each configuration —
 // but its load time still counts as setup.
 func newTera(o Options, n int, seed uint64, extras ...relSpec) *teraSetup {
-	o = o.serialized() // the Teradata model predates the latency floor
 	defer o.addSetup(time.Now())
-	s := o.newSim()
+	s := o.plainSim()
 	prm := o.params()
 	m := teradata.NewMachine(s, &prm)
 	ts := wisconsin.Generate(n, seed)
@@ -73,7 +72,7 @@ func newTera(o Options, n int, seed uint64, extras ...relSpec) *teraSetup {
 }
 
 func init() {
-	registerWindowed("table1", "Selection queries (Table 1)", runTable1)
+	register("table1", "Selection queries (Table 1)", runTable1)
 }
 
 func runTable1(o Options) *Table {

@@ -58,6 +58,8 @@ type AggResult struct {
 	// single key 0.
 	Groups map[int32]int64
 	Tuples int // qualifying input tuples
+	// Err is non-nil when the query could not complete (see Result.Err).
+	Err error
 }
 
 // aggState folds values.
@@ -135,7 +137,10 @@ type aggDone struct {
 // RunAgg executes an aggregate query.
 func (m *Machine) RunAgg(q AggQuery) AggResult {
 	scan := m.resolveScan(q.Scan)
-	aggNodes := m.JoinNodes(q.Mode)
+	aggNodes, err := m.joinNodesErr(q.Mode)
+	if err != nil {
+		return AggResult{Err: err}
+	}
 	var out AggResult
 	var res Result
 	m.runQuery(&res, func(p *sim.Proc, ib *inbox, schedPort *nose.Port) {
@@ -147,6 +152,7 @@ func (m *Machine) RunAgg(q AggQuery) AggResult {
 		}
 	})
 	out.Elapsed = res.Elapsed
+	out.Err = res.Err
 	return out
 }
 
@@ -158,7 +164,7 @@ func (m *Machine) runScalarAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q A
 	m.initOp(p, combiner)
 	comboPort := combiner.NewPort("agg-combine")
 	nSites := len(frags)
-	m.spawnOn(p, combiner, fmt.Sprintf("agg-combine@%d", combiner.ID), func(cp *sim.Proc) {
+	m.spawnOn(schedPort, combiner, fmt.Sprintf("agg-combine@%d", combiner.ID), func(cp *sim.Proc) {
 		total := &aggState{}
 		seen := 0
 		for i := 0; i < nSites; i++ {
@@ -173,7 +179,7 @@ func (m *Machine) runScalarAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q A
 	for si, frag := range frags {
 		m.initOp(p, frag.Node)
 		fr, site := frag, si
-		m.spawnOn(p, fr.Node, fmt.Sprintf("agg-scan@%d", fr.Node.ID), func(sp *sim.Proc) {
+		m.spawnOn(schedPort, fr.Node, fmt.Sprintf("agg-scan@%d", fr.Node.ID), func(sp *sim.Proc) {
 			st := &aggState{}
 			seen := scanFold(sp, m, fr, scan, func(t rel.Tuple) { st.add(int64(t.Get(q.Attr))) })
 			conn := fr.Node.Dial(comboPort)
@@ -199,7 +205,7 @@ func (m *Machine) runGroupedAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q 
 	for ai, nd := range aggNodes {
 		m.initOp(p, nd)
 		node, port := nd, ports[ai]
-		m.spawnOn(p, nd, fmt.Sprintf("agg@%d", nd.ID), func(ap *sim.Proc) {
+		m.spawnOn(schedPort, nd, fmt.Sprintf("agg@%d", nd.ID), func(ap *sim.Proc) {
 			groups := map[int32]*aggState{}
 			seen := 0
 			recvStream(ap, port, streamStore, nSites, func(ts []rel.Tuple) {
@@ -220,7 +226,7 @@ func (m *Machine) runGroupedAgg(p *sim.Proc, ib *inbox, schedPort *nose.Port, q 
 	}
 	for si, frag := range frags {
 		m.initOp(p, frag.Node)
-		spawnSelect(m, p, "agg-select", si, frag, scan.Pred, scan.Path, func() selectOutput {
+		spawnSelect(m, "agg-select", si, frag, scan.Pred, scan.Path, func() selectOutput {
 			return selectOutput{stream: streamStore, ports: ports, route: HashRoute(groupAttr, LoadSeed, nA)}
 		}, schedPort)
 	}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gamma/internal/disk"
 	"gamma/internal/nose"
@@ -36,69 +37,81 @@ func (m *Machine) Mirrored() bool { return m.mirrored }
 // running attempt (partial results are dropped), and the work is
 // re-dispatched against backup fragments. detect <= 0 selects
 // DefaultFailoverDetect. Failover needs EnableMirroring to have something
-// to re-dispatch to.
+// to re-dispatch to. Failover reads every site's health from the scheduler,
+// so it pins the simulation to one worker (sim.Sim.Pin).
 func (m *Machine) EnableFailover(detect sim.Dur) {
 	if detect <= 0 {
 		detect = DefaultFailoverDetect
 	}
 	m.ftDetect = detect
+	m.Sim.Pin()
 }
 
 // CrashDisk fails disk site (index into m.Disk) completely: its operator
 // processes are killed, its ports closed (returning senders' window
 // credits), its drive failed, and any diskless processor spooling to it is
-// re-assigned to a surviving drive. Idempotent. Kernel context (an event
-// function, or between queries).
+// re-assigned to a surviving drive. Idempotent. Kernel context on the
+// site's own shard (fault.Arm schedules it there), or between queries.
 func (m *Machine) CrashDisk(site int) {
 	nd := m.Disk[site]
 	if nd.Failed() {
 		return
 	}
-	m.siteEpochs[site]++
-	m.Sim.Emit(trace.Event{
-		At: int64(m.Sim.Now()), Kind: trace.KindFault, Class: "node-crash",
+	nd.Part.Emit(trace.Event{
+		At: int64(nd.Part.Now()), Kind: trace.KindFault, Class: "node-crash",
 		Node: nd.ID, Site: site,
 	})
-	for _, p := range append([]*sim.Proc(nil), m.procs[nd.ID]...) {
-		p.Kill()
+	for _, e := range m.procs[nd.ID] {
+		e.p.Kill()
 	}
+	m.procs[nd.ID] = nil
 	nd.Fail()
 	nd.Drive.Fail()
 	m.reassignSpools()
-	if m.healer != nil {
-		m.healer.noteFault(site)
-	}
+	m.tellHealer(nd, func(h *Healer, at sim.Time) { h.noteFault(site, at) })
 }
 
 // FailDrive fails only the drive of disk site: the processor stays up, so
 // in-flight accesses raise disk.FailedError, the operator reports the loss,
-// and detection is immediate rather than timeout-driven. Idempotent.
+// and detection is immediate rather than timeout-driven. Idempotent. Same
+// context as CrashDisk.
 func (m *Machine) FailDrive(site int) {
 	nd := m.Disk[site]
 	if nd.Drive.Failed() {
 		return
 	}
-	m.Sim.Emit(trace.Event{
-		At: int64(m.Sim.Now()), Kind: trace.KindFault, Class: "drive-fail",
+	nd.Part.Emit(trace.Event{
+		At: int64(nd.Part.Now()), Kind: trace.KindFault, Class: "drive-fail",
 		Node: nd.ID, Site: site,
 	})
 	nd.Drive.Fail()
 	m.reassignSpools()
-	if m.healer != nil {
-		m.healer.noteFault(site)
+	m.tellHealer(nd, func(h *Healer, at sim.Time) { h.noteFault(site, at) })
+}
+
+// tellHealer delivers a note about an event on nd to the healer on the
+// host: like every effect one node has on another, it is a message that
+// arrives one Net.MinLatency later. at is the event's own instant.
+func (m *Machine) tellHealer(nd *nose.Node, note func(h *Healer, at sim.Time)) {
+	h := m.healer
+	if h == nil {
+		return
 	}
+	at := nd.Part.Now()
+	nd.Part.Send(m.Host.Part, at+m.Prm.Net.MinLatency, func() { note(h, at) })
 }
 
 // NICOutage blocks a node's network interface for d, modeling a transient
 // interface fault: traffic queues behind the outage and drains afterwards.
 // No failover is involved — the sliding-window protocol simply stalls — and
 // it composes with Network.InjectLoss packet drops. node is a node ID (any
-// processor, not just disk sites).
+// processor, not just disk sites). Kernel context on the node's own shard.
 func (m *Machine) NICOutage(node int, d sim.Dur) {
 	nd := m.Net.Nodes()[node]
-	m.Sim.Emit(trace.Event{
-		At: int64(m.Sim.Now()), Kind: trace.KindFault, Class: "nic-outage",
-		Node: nd.ID, End: int64(m.Sim.Now() + d),
+	now := nd.Part.Now()
+	nd.Part.Emit(trace.Event{
+		At: int64(now), Kind: trace.KindFault, Class: "nic-outage",
+		Node: nd.ID, End: int64(now + d),
 	})
 	nd.NIC.UseAsync(d)
 }
@@ -109,7 +122,8 @@ func (m *Machine) NICOutage(node int, d sim.Dur) {
 // and immediately eligible as a re-replication target.
 func (m *Machine) OutageDisk(site int, d sim.Dur) {
 	m.CrashDisk(site)
-	m.Sim.At(m.Sim.Now()+d, func() { m.RejoinDisk(site) })
+	sh := m.Disk[site].Part
+	sh.At(sh.Now()+d, func() { m.RejoinDisk(site) })
 }
 
 // RejoinDisk returns a previously crashed disk site to service: the node and
@@ -118,7 +132,8 @@ func (m *Machine) OutageDisk(site int, d sim.Dur) {
 // restored. Fragments whose files survived on the drive serve again as soon
 // as the directory still points at them; fragments the healer condemned and
 // re-replicated elsewhere stay gone — the rejoined node is simply spare
-// capacity (and a rebuild target) from here on. Idempotent.
+// capacity (and a rebuild target) from here on. Idempotent. Same context as
+// CrashDisk.
 func (m *Machine) RejoinDisk(site int) {
 	nd := m.Disk[site]
 	if !nd.Failed() {
@@ -130,13 +145,14 @@ func (m *Machine) RejoinDisk(site int) {
 		st.Pool().Reset()
 	}
 	nd.SpoolNode = nd
-	m.Sim.Emit(trace.Event{
-		At: int64(m.Sim.Now()), Kind: trace.KindHeal, Class: "rejoin",
+	nd.Part.Emit(trace.Event{
+		At: int64(nd.Part.Now()), Kind: trace.KindHeal, Class: "rejoin",
 		Node: nd.ID, Site: site,
 	})
-	if m.healer != nil {
-		m.healer.noteRejoin(site)
+	if h := m.healer; h != nil && nd.Part.Now() < h.cfg.Horizon {
+		h.spawnHeartbeat(site)
 	}
+	m.tellHealer(nd, func(h *Healer, _ sim.Time) { h.noteRejoin(site) })
 }
 
 // reassignSpools points every processor whose spool drive is gone at the
@@ -221,47 +237,62 @@ func reportDriveLoss(m *Machine, p *sim.Proc, nd *nose.Node, opID string, sched 
 	panic(r)
 }
 
-// spawnOn starts an operator process bound to a node: a crash of that node
-// kills it, and a process spawned for an already-failed node never runs.
-// All operator processes go through here so CrashDisk can find them.
+// opProc is one entry of a node's kill registry: a live operator process
+// and the port of the process that started it (a query's scheduler, the
+// healer), so a failed query can abandon exactly its own operators.
+type opProc struct {
+	p     *sim.Proc
+	owner *nose.Port
+}
+
+// spawnOn starts an operator process bound to node nd on behalf of owner:
+// a crash of nd kills it, abandoning owner kills it, and a process whose
+// start reaches nd after nd failed never runs. All operator processes go
+// through here so they land in nd's kill registry, which only nd's shard
+// touches.
 //
-// from is the process initiating the operator (the scheduler, usually); nil
-// means a serialized context outside any process. On the serialized kernel
-// (lookahead 0) the spawn is immediate and the process is registered so
-// CrashDisk can kill it. Under a positive-lookahead kernel a cross-shard
-// spawn is itself a network message: it is routed to the operator's shard
-// and the process starts one latency floor later, exactly like the
-// scheduler-initiation control messages it models (§6.2.3). Fault injection
-// is a lookahead-0 feature, so the kill registry is skipped on that path.
-func (m *Machine) spawnOn(from *sim.Proc, nd *nose.Node, name string, fn func(p *sim.Proc)) {
-	if nd.Failed() {
-		return
-	}
-	if m.Sim.Lookahead() > 0 {
-		if from == nil || from.Shard() == nd.Part {
-			nd.Part.Spawn(name, fn)
+// Starting an operator on another node is a network message, exactly like
+// the scheduler-initiation control messages it models (§6.2.3): the process
+// starts one Net.MinLatency after the send on owner's node, on every
+// kernel. A nil owner means nd starts a process of its own, immediately.
+func (m *Machine) spawnOn(owner *nose.Port, nd *nose.Node, name string, fn func(p *sim.Proc)) {
+	start := func() {
+		if nd.Failed() {
 			return
 		}
-		from.Shard().Send(nd.Part, from.Now()+m.Prm.Net.MinLatency, func() {
-			if !nd.Failed() {
-				nd.Part.Spawn(name, fn)
-			}
+		var pr *sim.Proc
+		pr = nd.Part.Spawn(name, func(p *sim.Proc) {
+			// Deregister on any exit (normal, killed, or panicking).
+			defer func() {
+				m.procs[nd.ID] = slices.DeleteFunc(m.procs[nd.ID], func(e opProc) bool { return e.p == pr })
+			}()
+			fn(p)
 		})
+		m.procs[nd.ID] = append(m.procs[nd.ID], opProc{p: pr, owner: owner})
+	}
+	if owner == nil {
+		start()
 		return
 	}
-	var pr *sim.Proc
-	pr = m.Sim.SpawnOn(nd.Part, name, func(p *sim.Proc) {
-		defer func() {
-			// Deregister on any exit (normal, killed, or panicking).
-			live := m.procs[nd.ID]
-			for i, q := range live {
-				if q == pr {
-					m.procs[nd.ID] = append(live[:i], live[i+1:]...)
-					break
+	from := owner.Node().Part
+	from.Send(nd.Part, from.Now()+m.Prm.Net.MinLatency, start)
+}
+
+// abandon kills every operator owner started, on every node: one message
+// per node, delivered on the node's own shard one Net.MinLatency later, so
+// a start still in flight from owner arrives first and is killed too.
+func (m *Machine) abandon(owner *nose.Port) {
+	from := owner.Node().Part
+	for _, nd := range m.Net.Nodes() {
+		nd := nd
+		from.Send(nd.Part, from.Now()+m.Prm.Net.MinLatency, func() {
+			m.procs[nd.ID] = slices.DeleteFunc(m.procs[nd.ID], func(e opProc) bool {
+				if e.owner != owner {
+					return false
 				}
-			}
-		}()
-		fn(p)
-	})
-	m.procs[nd.ID] = append(m.procs[nd.ID], pr)
+				e.p.Kill()
+				return true
+			})
+		})
+	}
 }

@@ -105,6 +105,8 @@ type Healer struct {
 // node and the healer process on the host. Zero-valued config fields take
 // the defaults above; Horizon is mandatory. Call after loading (and after
 // EnableMirroring — without backups the healer can detect but not heal).
+// Healing promotes and rebuilds fragments across nodes from the host, so it
+// pins the simulation to one worker (sim.Sim.Pin).
 func (m *Machine) EnableHealing(cfg HealConfig) *Healer {
 	if m.healer != nil {
 		return m.healer
@@ -136,6 +138,7 @@ func (m *Machine) EnableHealing(cfg HealConfig) *Healer {
 		h.lastSeen[i] = m.Sim.Now()
 	}
 	m.healer = h
+	m.Sim.Pin()
 	for site := range m.Disk {
 		h.spawnHeartbeat(site)
 	}
@@ -157,9 +160,9 @@ func (h *Healer) Stats() HealStats {
 	}
 }
 
-// spawnHeartbeat starts site's status reporter. Registered through spawnOn,
-// so a crash of the node kills it — which is exactly what makes the site go
-// silent at the healer.
+// spawnHeartbeat starts site's status reporter on the site itself.
+// Registered through spawnOn, so a crash of the node kills it — which is
+// exactly what makes the site go silent at the healer.
 func (h *Healer) spawnHeartbeat(site int) {
 	m := h.m
 	nd := m.Disk[site]
@@ -171,23 +174,21 @@ func (h *Healer) spawnHeartbeat(site int) {
 	})
 }
 
-// noteFault records a fault injection against site for MTTR accounting.
-// Called by CrashDisk/FailDrive in kernel context.
-func (h *Healer) noteFault(site int) {
+// noteFault records a fault injected against site at the given instant, for
+// MTTR accounting. Runs on the host's shard (see Machine.tellHealer).
+func (h *Healer) noteFault(site int, at sim.Time) {
 	h.episodes = append(h.episodes, HealEpisode{
-		Site: site, FaultAt: h.m.Sim.Now(), DetectedAt: -1, RestoredAt: -1,
+		Site: site, FaultAt: at, DetectedAt: -1, RestoredAt: -1,
 	})
 }
 
-// noteRejoin resets the healer's view of a site returning from an outage and
-// restarts its heartbeat. Called by RejoinDisk in kernel context. A short
-// outage the healer never condemned may restore redundancy by itself.
+// noteRejoin resets the healer's view of a site returning from an outage
+// (RejoinDisk has already restarted its heartbeat). Runs on the host's
+// shard. A short outage the healer never condemned may restore redundancy
+// by itself.
 func (h *Healer) noteRejoin(site int) {
 	h.down[site] = false
-	h.lastSeen[site] = h.m.Sim.Now()
-	if h.m.Sim.Now() < h.cfg.Horizon {
-		h.spawnHeartbeat(site)
-	}
+	h.lastSeen[site] = h.m.Host.Part.Now()
 	h.checkRestored()
 }
 
@@ -335,7 +336,7 @@ func (h *Healer) startRebuild(p *sim.Proc, r *Relation, i int) {
 	newFile := st.AdoptFile(fimg)
 	pages := fimg.Pages()
 	pageBytes := m.Prm.PageBytes
-	m.spawnOn(p, src.Node, fmt.Sprintf("rebuild:%s", key), func(cp *sim.Proc) {
+	m.spawnOn(h.port, src.Node, fmt.Sprintf("rebuild:%s", key), func(cp *sim.Proc) {
 		done := false
 		defer func() {
 			// Any exit before completion — source crash (kill), source or

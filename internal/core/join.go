@@ -137,7 +137,6 @@ type joinSpec struct {
 	node       *nose.Node
 	port       *nose.Port
 	sched      *nose.Port
-	from       *sim.Proc // initiating process (the scheduler)
 	buildAttr  rel.Attr
 	probeAttr  rel.Attr
 	nSites     int // number of join sites (round-stream producers)
@@ -160,7 +159,7 @@ type joinSpec struct {
 // hash-partitioned join of [DEWI85] (§6).
 func spawnJoin(spec joinSpec) {
 	m := spec.m
-	m.spawnOn(spec.from, spec.node, fmt.Sprintf("%s@%d", spec.opID, spec.node.ID), func(p *sim.Proc) {
+	m.spawnOn(spec.sched, spec.node, fmt.Sprintf("%s@%d", spec.opID, spec.node.ID), func(p *sim.Proc) {
 		phase := func(kind trace.Kind, label string, n int) {
 			if !m.Sim.Tracing() {
 				return

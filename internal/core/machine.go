@@ -75,11 +75,10 @@ type Machine struct {
 	rec      *Recovery
 
 	// Fault/failover state (see fault-tolerance methods in fault.go).
-	mirrored   bool
-	ftDetect   sim.Dur             // operator-silence detection timeout; 0 = failover off
-	procs      map[int][]*sim.Proc // live operator processes per node
-	siteEpochs map[int]int         // per-disk-site crash count (bumped by CrashDisk)
-	healer     *Healer             // non-nil after EnableHealing (heal.go)
+	mirrored bool
+	ftDetect sim.Dur    // operator-silence detection timeout; 0 = failover off
+	procs    [][]opProc // kill registry per node ID; each touched only from its node's shard
+	healer   *Healer    // non-nil after EnableHealing (heal.go)
 
 	// Trace is the structured event collector, non-nil after EnableTrace.
 	Trace *trace.Collector
@@ -96,13 +95,11 @@ func NewMachine(s *sim.Sim, prm *config.Params, nDisk, nDiskless int) *Machine {
 		panic("core: need at least one disk processor")
 	}
 	m := &Machine{
-		Sim:        s,
-		Prm:        prm,
-		Net:        nose.NewNetwork(s, prm.Net, prm.CPU),
-		stores:     make(map[int]*wiss.Store),
-		catalog:    make(map[string]*Relation),
-		procs:      make(map[int][]*sim.Proc),
-		siteEpochs: make(map[int]int),
+		Sim:     s,
+		Prm:     prm,
+		Net:     nose.NewNetwork(s, prm.Net, prm.CPU),
+		stores:  make(map[int]*wiss.Store),
+		catalog: make(map[string]*Relation),
 	}
 	m.Host = m.Net.AddNode(false, prm.Disk)
 	m.Sched = m.Net.AddNode(false, prm.Disk)
@@ -117,6 +114,7 @@ func NewMachine(s *sim.Sim, prm *config.Params, nDisk, nDiskless int) *Machine {
 		nd := m.Net.AddNodeOn(m.Disk[i%nDisk])
 		m.Diskless = append(m.Diskless, nd)
 	}
+	m.procs = make([][]opProc, len(m.Net.Nodes()))
 	return m
 }
 
@@ -165,8 +163,11 @@ func (m *Machine) ResetPools() {
 // it is on, concurrent heap selections of the same fragment ride one
 // circular cursor instead of each paying a private disk pass. Sharing is
 // strictly opt-in — single-user experiments keep the paper's cold-scan
-// methodology — and changes no query results, only I/O timing. Idempotent.
+// methodology — and changes no query results, only I/O timing. The cursor
+// registry is machine-wide, so sharing pins the simulation to one worker.
+// Idempotent.
 func (m *Machine) EnableSharedScans() {
+	m.Sim.Pin()
 	if m.scans == nil {
 		m.scans = &scanHub{m: m, active: make(map[scanKey]*sharedScan)}
 	}

@@ -90,13 +90,13 @@ func (m *Machine) scanSites(s ScanSpec) (frags []*Fragment, degraded bool, err e
 	return out, degraded, nil
 }
 
-// mustScanSites is scanSites for call sites that predate the typed error
-// path (aggregates, sorts, tests): unavailability panics, exactly like the
-// pre-healing behavior.
+// mustScanSites is scanSites for scheduler bodies without a failover
+// attempt loop (aggregates, sorts): unavailability fails the query with the
+// typed error.
 func (m *Machine) mustScanSites(s ScanSpec) []*Fragment {
 	frags, _, err := m.scanSites(s)
 	if err != nil {
-		panic(err.Error())
+		failQuery(err)
 	}
 	return frags
 }

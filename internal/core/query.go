@@ -106,18 +106,15 @@ func (m *Machine) initOp(p *sim.Proc, node *nose.Node) {
 
 // JoinNodes returns the processors that execute join operators in a mode,
 // excluding crashed nodes (a node with only a failed drive still joins; its
-// spooling was re-pointed at a surviving drive). It panics when no
-// processor survives; the typed-error query path uses joinNodesErr.
+// spooling was re-pointed at a surviving drive). It is empty when no
+// processor survives; queries then fail with *ErrUnavailable.
 func (m *Machine) JoinNodes(mode JoinMode) []*nose.Node {
-	out, err := m.joinNodesErr(mode)
-	if err != nil {
-		panic("core: no surviving processor to run join operators")
-	}
+	out, _ := m.joinNodesErr(mode)
 	return out
 }
 
-// joinNodesErr is JoinNodes for the typed-error query path: an empty
-// survivor set returns *ErrUnavailable instead of panicking.
+// joinNodesErr is JoinNodes for the query path: an empty survivor set
+// returns *ErrUnavailable.
 func (m *Machine) joinNodesErr(mode JoinMode) ([]*nose.Node, error) {
 	var cand []*nose.Node
 	switch mode {
@@ -183,6 +180,52 @@ func (e errSiteFailed) Error() string {
 	return fmt.Sprintf("disk site(s) %v failed mid-query", e.sites)
 }
 
+// ErrDriveLost is the typed error of a query whose operator lost its drive
+// mid-query on a machine without failover armed.
+type ErrDriveLost struct {
+	Op   string // operator id
+	Node int    // node whose drive failed
+}
+
+func (e *ErrDriveLost) Error() string {
+	return fmt.Sprintf("core: operator %s on node %d lost its drive (failover not enabled)", e.Op, e.Node)
+}
+
+// ErrNoFailover is the typed error of a query that lost disk sites mid-query
+// but cannot fail over: aggregates, updates and sorts have no abort
+// protocol to re-dispatch with.
+type ErrNoFailover struct {
+	Sites []int // disk sites lost since the query was planned
+}
+
+func (e *ErrNoFailover) Error() string {
+	return fmt.Sprintf("core: disk site(s) %v failed mid-query (query type does not support failover)", e.Sites)
+}
+
+// queryFailed unwinds a scheduler whose query cannot complete; the
+// scheduler's wrapper (launchQueryDone) stores err in Result.Err and
+// abandons the query's operators. The machine keeps running.
+type queryFailed struct{ err error }
+
+// failQuery ends the running query with a typed error. Scheduler context.
+func failQuery(err error) { panic(queryFailed{err}) }
+
+// catchFailure runs a scheduler body and returns the error it failed with,
+// if any. Every other panic passes through.
+func catchFailure(body func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			qf, ok := r.(queryFailed)
+			if !ok {
+				panic(r)
+			}
+			err = qf.err
+		}
+	}()
+	body()
+	return nil
+}
+
 // opFailed is an operator's report that a disk access raised a drive
 // failure. Unlike a node crash (detected by scheduler timeout), a drive
 // failure leaves the processor able to report, so detection is immediate.
@@ -231,7 +274,7 @@ func (ib *inbox) pump() error {
 		ib.stores[pl.op] = append(ib.stores[pl.op], pl)
 	case opFailed:
 		if ib.ft == nil {
-			panic(fmt.Sprintf("core: operator %s on node %d lost its drive (failover not enabled)", pl.op, pl.node))
+			failQuery(&ErrDriveLost{Op: pl.op, Node: pl.node})
 		}
 		// Actionable only while a failure is newer than the attempt's
 		// snapshot; afterwards it is a straggling report from an attempt
@@ -259,10 +302,10 @@ func (ib *inbox) pump() error {
 }
 
 // mustPump is pump for query types that do not participate in failover
-// (aggregates, updates, sorts): a site failure there is fatal.
+// (aggregates, updates, sorts): a site failure fails the query.
 func (ib *inbox) mustPump() {
 	if err := ib.pump(); err != nil {
-		panic("core: " + err.Error() + " (query type does not support failover)")
+		failQuery(&ErrNoFailover{Sites: err.(errSiteFailed).sites})
 	}
 }
 
@@ -399,20 +442,22 @@ type siteSnap struct {
 	epoch int
 }
 
-// newQueryFT returns failover state for one query, or nil when failover is
-// not armed on the machine.
+// newQueryFT returns failover state for one query, with disk-site health
+// snapshotted at launch, or nil when failover is not armed on the machine.
 func (m *Machine) newQueryFT() *queryFT {
 	if m.ftDetect <= 0 {
 		return nil
 	}
-	return &queryFT{m: m, detect: m.ftDetect}
+	ft := &queryFT{m: m, detect: m.ftDetect}
+	ft.resnap()
+	return ft
 }
 
 // resnap records disk-site health at the start of an attempt.
 func (ft *queryFT) resnap() {
 	ft.snap = ft.snap[:0]
-	for i, nd := range ft.m.Disk {
-		ft.snap = append(ft.snap, siteSnap{up: ft.m.driveUp(nd), epoch: ft.m.siteEpochs[i]})
+	for _, nd := range ft.m.Disk {
+		ft.snap = append(ft.snap, siteSnap{up: ft.m.driveUp(nd), epoch: nd.Crashes()})
 	}
 }
 
@@ -422,7 +467,7 @@ func (ft *queryFT) resnap() {
 func (ft *queryFT) newlyFailed() []int {
 	var out []int
 	for i, nd := range ft.m.Disk {
-		if ft.snap[i].up && (!ft.m.driveUp(nd) || ft.m.siteEpochs[i] != ft.snap[i].epoch) {
+		if ft.snap[i].up && (!ft.m.driveUp(nd) || nd.Crashes() != ft.snap[i].epoch) {
 			out = append(out, i)
 		}
 	}
@@ -515,7 +560,10 @@ func (m *Machine) launchQueryDone(res *Result, body func(p *sim.Proc, ib *inbox,
 		schedPort.Recv(p) // the compiled query arrives from the host
 		ib := newInbox(p, schedPort)
 		ib.ft = m.newQueryFT()
-		body(p, ib, schedPort)
+		if err := catchFailure(func() { body(p, ib, schedPort) }); err != nil {
+			res.Err = err
+			m.abandon(schedPort)
+		}
 		nose.SendCtl(p, m.Sched, hostPort, "done")
 	})
 	m.Sim.SpawnOn(m.Host.Part, "host", func(p *sim.Proc) {
@@ -548,6 +596,12 @@ func (m *Machine) runQuery(res *Result, body func(p *sim.Proc, ib *inbox, schedP
 	scanned0, delivered0 := m.SharedScanStats()
 	m.launchQuery(res, body)
 	m.Sim.Run()
+	if res.Err != nil && res.ResultName != "" {
+		// A failed query's partial result is dropped once its operators
+		// are gone.
+		m.Drop(res.ResultName)
+		res.ResultName = ""
+	}
 	net1 := m.Net.Stats()
 	res.DataPackets = net1.DataPackets - net0.DataPackets
 	res.LocalMsgs = net1.LocalMsgs - net0.LocalMsgs
@@ -574,7 +628,7 @@ func (m *Machine) setupStores(p *sim.Proc, ib *inbox, schedPort *nose.Port, res 
 	ss := &storeSet{op: "store" + ib.tag()}
 	if toHost {
 		colPort := m.Host.NewPort(ss.op)
-		spawnCollector(m, p, ss.op, m.Host, colPort, schedPort, nil)
+		spawnCollector(m, ss.op, m.Host, colPort, schedPort, nil)
 		ss.ports = []*nose.Port{colPort}
 		return ss, nil
 	}
@@ -586,7 +640,7 @@ func (m *Machine) setupStores(p *sim.Proc, ib *inbox, schedPort *nose.Port, res 
 	for i, frag := range resRel.Frags {
 		pt := frag.Node.NewPort(fmt.Sprintf("%s%d", ss.op, i))
 		m.initOp(p, frag.Node)
-		spawnStore(m, p, ss.op, i, frag, pt, schedPort)
+		spawnStore(m, ss.op, i, frag, pt, schedPort)
 		ss.ports = append(ss.ports, pt)
 	}
 	return ss, nil
@@ -701,7 +755,7 @@ func (m *Machine) trySelect(p *sim.Proc, ib *inbox, schedPort *nose.Port, q Sele
 	selOp := "select" + ib.tag()
 	for si, frag := range frags {
 		m.initOp(p, frag.Node)
-		spawnSelect(m, p, selOp, si, frag, scan.Pred, scan.Path, func() selectOutput {
+		spawnSelect(m, selOp, si, frag, scan.Pred, scan.Path, func() selectOutput {
 			return selectOutput{
 				stream: streamStore, ports: ss.ports, route: RRRoute(len(ss.ports)),
 				width: width, project: q.Project,
@@ -813,7 +867,7 @@ func (m *Machine) runRounds(p *sim.Proc, ib *inbox, schedPort *nose.Port, st *st
 				reader = info.owner
 			}
 			m.initOp(p, reader)
-			spawnSpoolScan(m, p, st.opID+".ovfbuild", si, info.build, info.owner, reader, func() selectOutput {
+			spawnSpoolScan(m, st.opID+".ovfbuild", si, info.build, info.owner, reader, func() selectOutput {
 				return selectOutput{stream: roundStream(l, false), ports: st.ports, route: HashRoute(st.buildAttr, roundSeed(l), nJ)}
 			}, schedPort)
 		}
@@ -835,7 +889,7 @@ func (m *Machine) runRounds(p *sim.Proc, ib *inbox, schedPort *nose.Port, st *st
 				reader = info.owner
 			}
 			m.initOp(p, reader)
-			spawnSpoolScan(m, p, st.opID+".ovfprobe", si, info.probe, info.owner, reader, func() selectOutput {
+			spawnSpoolScan(m, st.opID+".ovfprobe", si, info.probe, info.owner, reader, func() selectOutput {
 				return selectOutput{stream: roundStream(l, true), ports: st.ports, route: HashRoute(st.probeAttr, roundSeed(l), nJ)}
 			}, schedPort)
 		}
@@ -949,7 +1003,7 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 			for si, nd := range joinNodes {
 				m.initOp(p, nd)
 				spawnJoin(joinSpec{
-					m: m, from: p, opID: st2.opID, site: si, node: nd, port: st2.ports[si], sched: schedPort,
+					m: m, opID: st2.opID, site: si, node: nd, port: st2.ports[si], sched: schedPort,
 					buildAttr: q.Build2Attr, probeAttr: q.Probe2Attr,
 					nSites: nJ, nBuild: len(b2frags), nProbe: -1, memBytes: memPer,
 					outStream: streamStore, outPorts: ss.ports,
@@ -958,7 +1012,7 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 			}
 			for si, frag := range b2frags {
 				m.initOp(p, frag.Node)
-				spawnSelect(m, p, "sel-build2"+tag, si, frag, build2.Pred, build2.Path, func() selectOutput {
+				spawnSelect(m, "sel-build2"+tag, si, frag, build2.Pred, build2.Path, func() selectOutput {
 					return selectOutput{stream: streamBuild, ports: st2.ports, route: HashRoute(q.Build2Attr, LoadSeed, nJ)}
 				}, schedPort)
 			}
@@ -983,7 +1037,7 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 		for si, nd := range joinNodes {
 			m.initOp(p, nd)
 			spawnJoin(joinSpec{
-				m: m, from: p, opID: st1.opID, site: si, node: nd, port: st1.ports[si], sched: schedPort,
+				m: m, opID: st1.opID, site: si, node: nd, port: st1.ports[si], sched: schedPort,
 				buildAttr: q.BuildAttr, probeAttr: q.ProbeAttr,
 				nSites: nJ, nBuild: len(bfrags), nProbe: len(pfrags), memBytes: memPer,
 				outStream: outStream, outPorts: outPorts, mkOutRoute: mkOutRoute,
@@ -995,7 +1049,7 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 		// Build selections.
 		for si, frag := range bfrags {
 			m.initOp(p, frag.Node)
-			spawnSelect(m, p, "sel-build"+tag, si, frag, build.Pred, build.Path, func() selectOutput {
+			spawnSelect(m, "sel-build"+tag, si, frag, build.Pred, build.Path, func() selectOutput {
 				return selectOutput{stream: streamBuild, ports: st1.ports, route: HashRoute(q.BuildAttr, LoadSeed, nJ)}
 			}, schedPort)
 		}
@@ -1020,7 +1074,7 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 		for si, frag := range pfrags {
 			m.initOp(p, frag.Node)
 			fr := frag
-			spawnSelect(m, p, "sel-probe"+tag, si, fr, probe.Pred, probe.Path, func() selectOutput {
+			spawnSelect(m, "sel-probe"+tag, si, fr, probe.Pred, probe.Path, func() selectOutput {
 				out := selectOutput{stream: streamProbe, ports: st1.ports, route: HashRoute(q.ProbeAttr, LoadSeed, nJ)}
 				if haveFilters {
 					out.filters = filters

@@ -34,11 +34,14 @@ type Recovery struct {
 const logRecordHeader = 16
 
 // EnableRecovery attaches a recovery server on its own processor (with a
-// drive for the log volume) and returns it. Idempotent.
+// drive for the log volume) and returns it. Operators charge the server's
+// CPU and drive directly rather than by message, so recovery pins the
+// simulation to one worker (sim.Sim.Pin). Idempotent.
 func (m *Machine) EnableRecovery() *Recovery {
 	if m.rec != nil {
 		return m.rec
 	}
+	m.Sim.Pin()
 	server := m.Net.AddNode(true, m.Prm.Disk)
 	m.rec = &Recovery{m: m, Server: server, pending: map[int]int{}}
 	return m.rec

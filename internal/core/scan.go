@@ -70,8 +70,8 @@ type doneMsg struct {
 // spawnSelect starts a selection operator process on the fragment's node.
 // routeMaker is called inside the operator to build its split table (so
 // round-robin counters are per-operator, as in Gamma).
-func spawnSelect(m *Machine, from *sim.Proc, opID string, site int, frag *Fragment, pred rel.Pred, path AccessPath, mkOut func() selectOutput, sched *nose.Port) {
-	m.spawnOn(from, frag.Node, fmt.Sprintf("%s@%d", opID, frag.Node.ID), func(p *sim.Proc) {
+func spawnSelect(m *Machine, opID string, site int, frag *Fragment, pred rel.Pred, path AccessPath, mkOut func() selectOutput, sched *nose.Port) {
+	m.spawnOn(sched, frag.Node, fmt.Sprintf("%s@%d", opID, frag.Node.ID), func(p *sim.Proc) {
 		defer reportDriveLoss(m, p, frag.Node, opID, sched)
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: frag.Node.ID, Site: site, Class: path.String()})
 		out := mkOut()
@@ -206,8 +206,8 @@ func nonClusteredSelect(p *sim.Proc, m *Machine, frag *Fragment, pred rel.Pred, 
 // spawnSpoolScan starts an operator on `reader` that streams a spool file
 // (resident on `owner`, possibly a different node) through a split table —
 // the redistribution step of join-overflow resolution (§6.2.2).
-func spawnSpoolScan(m *Machine, from *sim.Proc, opID string, site int, file *wiss.File, owner, reader *nose.Node, mkOut func() selectOutput, sched *nose.Port) {
-	m.spawnOn(from, reader, fmt.Sprintf("%s@%d", opID, reader.ID), func(p *sim.Proc) {
+func spawnSpoolScan(m *Machine, opID string, site int, file *wiss.File, owner, reader *nose.Node, mkOut func() selectOutput, sched *nose.Port) {
+	m.spawnOn(sched, reader, fmt.Sprintf("%s@%d", opID, reader.ID), func(p *sim.Proc) {
 		defer reportDriveLoss(m, p, reader, opID, sched)
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: reader.ID, Site: site, Class: "spool-scan"})
 		out := mkOut()

@@ -39,7 +39,7 @@ func (m *Machine) RunSort(q SortQuery) Result {
 		mergePort := mergeNode.NewPort("merge")
 		resRel, rerr := m.newResultRelation(q.ResultName, 0)
 		if rerr != nil {
-			panic(rerr.Error()) // sorts predate the typed-error path
+			failQuery(rerr)
 		}
 		res.ResultName = resRel.Name
 
@@ -51,7 +51,7 @@ func (m *Machine) RunSort(q SortQuery) Result {
 		for si, frag := range frags {
 			m.initOp(p, frag.Node)
 			site, fr := si, frag
-			m.spawnOn(p, fr.Node, fmt.Sprintf("sort@%d", fr.Node.ID), func(sp *sim.Proc) {
+			m.spawnOn(schedPort, fr.Node, fmt.Sprintf("sort@%d", fr.Node.ID), func(sp *sim.Proc) {
 				st := m.StoreOf(fr.Node)
 				qual := st.CreateFile("sort.qual")
 				ap := qual.NewAppender()
@@ -67,7 +67,7 @@ func (m *Machine) RunSort(q SortQuery) Result {
 		// Phase 2: merge the runs at one site, reading remote run pages
 		// over the network, and store the ordered result locally.
 		m.initOp(p, mergeNode)
-		m.spawnOn(p, mergeNode, fmt.Sprintf("merge@%d", mergeNode.ID), func(mp *sim.Proc) {
+		m.spawnOn(schedPort, mergeNode, fmt.Sprintf("merge@%d", mergeNode.ID), func(mp *sim.Proc) {
 			runs := make([]sortedRun, 0, len(frags))
 			for len(runs) < len(frags) {
 				msg := mergePort.Recv(mp)

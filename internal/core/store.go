@@ -33,8 +33,8 @@ type storeDone struct {
 // receives result tuples, assigns record ids, and writes pages to the local
 // drive with write-behind (§2: "store operators at each disk site assume
 // responsibility for writing the result tuples to disk").
-func spawnStore(m *Machine, from *sim.Proc, opID string, site int, frag *Fragment, in *nose.Port, sched *nose.Port) {
-	m.spawnOn(from, frag.Node, fmt.Sprintf("%s@%d", opID, frag.Node.ID), func(p *sim.Proc) {
+func spawnStore(m *Machine, opID string, site int, frag *Fragment, in *nose.Port, sched *nose.Port) {
+	m.spawnOn(sched, frag.Node, fmt.Sprintf("%s@%d", opID, frag.Node.ID), func(p *sim.Proc) {
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -86,8 +86,8 @@ func spawnStore(m *Machine, from *sim.Proc, opID string, site int, frag *Fragmen
 // that gathers result tuples into memory instead of storing them — used for
 // single-tuple selects and aggregate results returned to the user. It obeys
 // the same close protocol as a store operator.
-func spawnCollector(m *Machine, from *sim.Proc, opID string, node *nose.Node, in *nose.Port, sched *nose.Port, sink func(n int)) {
-	m.spawnOn(from, node, fmt.Sprintf("%s@%d", opID, node.ID), func(p *sim.Proc) {
+func spawnCollector(m *Machine, opID string, node *nose.Node, in *nose.Port, sched *nose.Port, sink func(n int)) {
+	m.spawnOn(sched, node, fmt.Sprintf("%s@%d", opID, node.ID), func(p *sim.Proc) {
 		p.Emit(trace.Event{At: int64(p.Now()), Kind: trace.KindOpStart, Op: opID, Node: node.ID, Site: 0, Class: "collect"})
 		eng := m.Prm.Engine
 		eos := 0

@@ -228,7 +228,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 			site := q.Rel.siteForValue(q.Tuple.Get(q.Rel.PartAttr))
 			frag := q.Rel.Frags[site]
 			m.initOp(p, frag.Node)
-			m.spawnOn(p, frag.Node, fmt.Sprintf("append@%d", frag.Node.ID), func(up *sim.Proc) {
+			m.spawnOn(schedPort, frag.Node, fmt.Sprintf("append@%d", frag.Node.ID), func(up *sim.Proc) {
 				insertTuple(up, m, frag, q.Tuple)
 				ccOverhead(up, m, frag)
 				q.Rel.N++
@@ -240,7 +240,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 			site := q.Rel.siteForValue(q.Key)
 			frag := q.Rel.Frags[site]
 			m.initOp(p, frag.Node)
-			m.spawnOn(p, frag.Node, fmt.Sprintf("delete@%d", frag.Node.ID), func(up *sim.Proc) {
+			m.spawnOn(schedPort, frag.Node, fmt.Sprintf("delete@%d", frag.Node.ID), func(up *sim.Proc) {
 				changed := 0
 				if rid, t, ok := locateByClustered(up, m, frag, q.Rel.PartAttr, q.Key); ok {
 					deleteTuple(up, m, frag, rid, t)
@@ -258,7 +258,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 			oldFrag, newFrag := q.Rel.Frags[oldSite], q.Rel.Frags[newSite]
 			relocPort := newFrag.Node.NewPort("relocate")
 			m.initOp(p, newFrag.Node)
-			m.spawnOn(p, newFrag.Node, fmt.Sprintf("modkey-in@%d", newFrag.Node.ID), func(up *sim.Proc) {
+			m.spawnOn(schedPort, newFrag.Node, fmt.Sprintf("modkey-in@%d", newFrag.Node.ID), func(up *sim.Proc) {
 				msg := relocPort.Recv(up)
 				rl, ok := msg.Payload.(relocated)
 				changed := 0
@@ -270,7 +270,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 				nose.SendCtl(up, newFrag.Node, schedPort, updateDone{site: newSite, changed: changed})
 			})
 			m.initOp(p, oldFrag.Node)
-			m.spawnOn(p, oldFrag.Node, fmt.Sprintf("modkey-out@%d", oldFrag.Node.ID), func(up *sim.Proc) {
+			m.spawnOn(schedPort, oldFrag.Node, fmt.Sprintf("modkey-out@%d", oldFrag.Node.ID), func(up *sim.Proc) {
 				conn := oldFrag.Node.Dial(relocPort)
 				if rid, t, ok := locateByClustered(up, m, oldFrag, q.Rel.PartAttr, q.Key); ok {
 					deleteTuple(up, m, oldFrag, rid, t)
@@ -292,7 +292,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 			site := q.Rel.siteForValue(q.Key)
 			frag := q.Rel.Frags[site]
 			m.initOp(p, frag.Node)
-			m.spawnOn(p, frag.Node, fmt.Sprintf("modify@%d", frag.Node.ID), func(up *sim.Proc) {
+			m.spawnOn(schedPort, frag.Node, fmt.Sprintf("modify@%d", frag.Node.ID), func(up *sim.Proc) {
 				changed := 0
 				if rid, t, ok := locateByClustered(up, m, frag, q.Rel.PartAttr, q.Key); ok {
 					t.Set(q.Attr, q.NewValue)
@@ -314,7 +314,7 @@ func (m *Machine) RunUpdate(q UpdateQuery) Result {
 			for si, frag := range q.Rel.Frags {
 				m.initOp(p, frag.Node)
 				site, fr := si, frag
-				m.spawnOn(p, fr.Node, fmt.Sprintf("modidx@%d", fr.Node.ID), func(up *sim.Proc) {
+				m.spawnOn(schedPort, fr.Node, fmt.Sprintf("modidx@%d", fr.Node.ID), func(up *sim.Proc) {
 					changed := 0
 					bt, ok := fr.Indexes[q.Attr]
 					if ok && bt.Kind == wiss.NonClustered {

@@ -143,6 +143,10 @@ func (m *Machine) RunWorkload(spec WorkloadSpec) WorkloadResult {
 	if spec.Make == nil {
 		panic("core: RunWorkload needs a Make function")
 	}
+	// Terminals on the host launch queries — spawning schedulers and
+	// sharing the admission gate — directly, so a workload runs on one
+	// worker.
+	m.Sim.Pin()
 	m.ResetPools()
 	hits0, misses0 := m.PoolStats()
 	scanned0, delivered0 := m.SharedScanStats()

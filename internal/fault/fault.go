@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"gamma/internal/core"
+	"gamma/internal/nose"
 	"gamma/internal/sim"
 )
 
@@ -77,8 +78,8 @@ type Schedule struct {
 	// Detect is the scheduler's operator-silence timeout; <= 0 selects
 	// core.DefaultFailoverDetect.
 	Detect sim.Dur
-	// Injections fire in At order (the simulator orders same-instant
-	// events by scheduling order, i.e. slice order here).
+	// Injections fire in At order; same-instant injections against one
+	// node fire in slice order.
 	Injections []Injection
 }
 
@@ -104,15 +105,23 @@ func NICStall(at sim.Time, node int, d sim.Dur) Injection {
 	return Injection{At: at, Kind: NICOutage, Site: node, Dur: d}
 }
 
-// Arm enables mid-query failover on the machine and stages every injection
-// as a simulator event. Call it before the queries whose lifetime the
-// schedule overlaps; injections whose instant has already passed fire
-// immediately (the simulator clamps to now).
+// Arm enables mid-query failover on the machine (which pins its simulation
+// to one worker) and stages every injection as an event on the target
+// node's own shard, so each kill stays on the shard of the processes it
+// kills. Call it before the queries whose lifetime the schedule overlaps;
+// injections whose instant has already passed fire immediately (the
+// simulator clamps to now).
 func Arm(m *core.Machine, s Schedule) {
 	m.EnableFailover(s.Detect)
 	for _, in := range s.Injections {
 		in := in
-		m.Sim.At(in.At, func() {
+		var target *nose.Node
+		if in.Kind == NICOutage {
+			target = m.Net.Nodes()[in.Site]
+		} else {
+			target = m.Disk[in.Site]
+		}
+		target.Part.At(in.At, func() {
 			switch in.Kind {
 			case NodeCrash:
 				m.CrashDisk(in.Site)

@@ -186,21 +186,24 @@ type Node struct {
 	lossCtr     int
 	retransmits int64
 
-	failed bool
-	ports  []*Port
+	failed  bool
+	crashes int     // Fail count; a port created in an earlier epoch is dead
+	ports   []*Port // ports attached on this node's shard (see Port.attach)
 }
 
-// Fail marks the node crashed: every existing port is closed (queued and
-// future messages are dropped with their window credits returned to the
-// senders) and ports created later start closed. The caller is responsible
-// for killing the node's processes and failing its drive; Fail only severs
-// the node from the network. Only supported on serialized simulations
-// (lookahead 0) — fault experiments run there. Idempotent.
+// Fail marks the node crashed: every port that has seen traffic is closed
+// (queued and future messages are dropped with their window credits
+// returned to the senders), ports created earlier that are first touched
+// later close on that touch, and ports created later start closed. The
+// caller is responsible for killing the node's processes and failing its
+// drive; Fail only severs the node from the network. Kernel context on the
+// node's own shard. Idempotent.
 func (nd *Node) Fail() {
 	if nd.failed {
 		return
 	}
 	nd.failed = true
+	nd.crashes++
 	for _, pt := range nd.ports {
 		pt.Close()
 	}
@@ -208,6 +211,9 @@ func (nd *Node) Fail() {
 
 // Failed reports whether the node has crashed.
 func (nd *Node) Failed() bool { return nd.failed }
+
+// Crashes returns how many times the node has failed.
+func (nd *Node) Crashes() int { return nd.crashes }
 
 // Recover reattaches a failed node (the rejoin half of a transient outage):
 // ports created from now on open normally. Ports closed by the failure stay
@@ -253,7 +259,7 @@ func (n *Network) addNode(part *sim.Shard, withDisk bool, diskCfg config.Disk) *
 	// credit returns, control messages, retries — is floored at MinLatency
 	// past its send instant, so the shard can declare that floor to the EOT
 	// window scheduler even when the simulation's global lookahead is
-	// smaller (a sub-floor -lookahead, or a fast-fabric generation).
+	// smaller.
 	part.SetOutFloor(n.cfg.MinLatency)
 	if withDisk {
 		nd.Drive = disk.NewOn(part, fmt.Sprintf("disk%d", id), diskCfg)
@@ -287,23 +293,39 @@ func (nd *Node) dropNext() bool {
 // Port is a well-known mailbox on a node. Operator processes receive their
 // input streams and control packets through ports.
 type Port struct {
-	node   *Node
-	name   string
-	queue  []Message
-	recvq  *sim.WaitQ
-	closed bool
+	node     *Node
+	name     string
+	queue    []Message
+	recvq    *sim.WaitQ
+	closed   bool
+	epoch    int  // the node's crash count when the port was created
+	attached bool // registered in node.ports (see attach)
 }
 
 // NewPort creates a named port on the node. A port created on a failed node
-// starts closed. The node's port registry (used only by Fail) is maintained
-// on serialized simulations; under positive lookahead ports may be created
-// cross-shard mid-window, and Fail is not supported there.
+// starts closed. The scheduler creates most ports on other nodes, so the
+// port joins its node's registry only when it is first used there (attach).
 func (nd *Node) NewPort(name string) *Port {
-	pt := &Port{node: nd, name: name, recvq: nd.Part.NewWaitQ("port:" + name), closed: nd.failed}
-	if nd.net.sim.Lookahead() == 0 {
-		nd.ports = append(nd.ports, pt)
+	return &Port{node: nd, name: name, recvq: nd.Part.NewWaitQ("port:" + name),
+		closed: nd.failed, epoch: nd.crashes}
+}
+
+// attach registers the port with its node on the first delivery or receive,
+// both of which run on the node's own shard, so the registry Fail walks is
+// never touched from another shard; attaching on a receive keeps the
+// registry close to creation order, the order Fail closes ports in. A port
+// that outlived a crash without being attached is closed here, exactly as
+// Fail would have closed it.
+func (pt *Port) attach() {
+	if pt.attached {
+		return
 	}
-	return pt
+	pt.attached = true
+	nd := pt.node
+	nd.ports = append(nd.ports, pt)
+	if pt.epoch != nd.crashes {
+		pt.Close()
+	}
 }
 
 // Close shuts the mailbox: queued messages are discarded and future
@@ -341,6 +363,7 @@ func (pt *Port) Pending() int { return len(pt.queue) }
 // port's shard. Delivery to a closed port drops the message, immediately
 // returning the sender's window credits.
 func (pt *Port) deliver(m Message) {
+	pt.attach()
 	if pt.closed {
 		if m.release != nil {
 			m.release()
@@ -355,6 +378,7 @@ func (pt *Port) deliver(m Message) {
 // remote data message charges the protocol-processing CPU cost to p, once
 // per wire packet the message occupied.
 func (pt *Port) Recv(p *sim.Proc) Message {
+	pt.attach()
 	for len(pt.queue) == 0 {
 		pt.recvq.Park(p)
 	}

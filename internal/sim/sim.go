@@ -31,7 +31,7 @@
 // exactly the emission order a serial run would produce.
 //
 // With lookahead 0 (a model that interacts across shards at the same
-// instant, like the 1988 Gamma network model) no concurrency is admissible;
+// instant) no concurrency is admissible;
 // Run executes the shards' heaps in merged global order on one goroutine,
 // byte-identical to the unpartitioned kernel. Either way the serialized
 // path — Run with Workers <= 1 — is the oracle any worker count must match.
@@ -84,6 +84,7 @@ type Sim struct {
 	partitioned bool
 	lookahead   Dur
 	workers     int
+	pinned      bool // Pin: Run stays serialized whatever the worker budget
 
 	// Serialized-execution state: the global clock, the global schedule
 	// counter (the ord source when lookahead is 0), and the shard whose
@@ -233,6 +234,17 @@ func (s *Sim) SetWorkers(n int) { s.workers = n }
 
 // Workers returns the configured worker count (0 or 1 = serialized).
 func (s *Sim) Workers() int { return s.workers }
+
+// Pin confines the simulation to serialized execution for good: Run fires
+// events one at a time in global order whatever worker budget is set before
+// or after. A model pins when it arms a feature whose events mutate state
+// homed on other shards outside the message path (fault schedules,
+// failover, healing); the serialized order is the oracle every worker count
+// reproduces, so pinning changes no result, only parallelism.
+func (s *Sim) Pin() { s.pinned = true }
+
+// Pinned reports whether Pin has been called.
+func (s *Sim) Pinned() bool { return s.pinned }
 
 // AddShard creates a new shard (partition) and returns its handle. Only
 // valid on a partitioned simulation.
@@ -522,12 +534,13 @@ func (s *Sim) fireSerial(sh *Shard, e event) {
 
 // Run executes events until none remain, then returns the final clock
 // value. On a partitioned simulation with positive lookahead and Workers
-// > 1, shards execute conservative windows on a worker pool; in every
+// > 1 that is not pinned, shards execute conservative windows on a worker
+// pool; in every
 // other case (the oracle path) events fire one at a time in global
 // (at, ord) order. It panics if a process panicked, or if live processes
 // remain parked with no pending events (a simulated deadlock).
 func (s *Sim) Run() Time {
-	if s.partitioned && s.lookahead > 0 && s.workers > 1 && len(s.shards) > 1 {
+	if s.partitioned && s.lookahead > 0 && s.workers > 1 && !s.pinned && len(s.shards) > 1 {
 		s.runWindows()
 	} else {
 		s.runSerial(infTime)
@@ -592,7 +605,7 @@ func (s *Sim) runSerial(deadline Time) {
 		// none while it is the one firing), so the comparison may leave the
 		// fast path early but never fires out of order. This keeps a query
 		// whose activity sits on one shard for a stretch — the common case
-		// in the serialized experiments — from paying a heap round trip per
+		// in serialized runs — from paying a heap round trip per
 		// event.
 		for len(s.dirty) == 0 {
 			at, ord, ok := sh.events.head()
