@@ -198,7 +198,11 @@ func runHybrid(o Options) *Table {
 		for _, algo := range []core.JoinAlgorithm{core.SimpleHash, core.HybridHash} {
 			g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
 			bp := g.rel("Bprime")
-			nJoin := len(g.m.JoinNodes(core.Remote))
+			joinNodes, err := g.m.JoinNodes(core.Remote)
+			if err != nil {
+				panic(err)
+			}
+			nJoin := len(joinNodes)
 			res := g.joinRun(core.JoinQuery{
 				Build: core.ScanSpec{Rel: bp, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique1,
 				Probe: core.ScanSpec{Rel: g.heap, Pred: rel.True(), Path: core.PathHeap}, ProbeAttr: rel.Unique1,

@@ -114,7 +114,11 @@ func runFig13(o Options) *Table {
 		ratio, mode := fig13Ratios[i/len(fig13Modes)], fig13Modes[i%len(fig13Modes)]
 		g := newGamma(o, 8, 8, n, 1, heapRel("Bprime", n/10, 7))
 		bp := g.rel("Bprime")
-		nJoin := len(g.m.JoinNodes(mode))
+		joinNodes, err := g.m.JoinNodes(mode)
+		if err != nil {
+			panic(err)
+		}
+		nJoin := len(joinNodes)
 		memPer := int(ratio * float64(buildBytes) / float64(nJoin))
 		res := g.joinRun(core.JoinQuery{
 			Build: core.ScanSpec{Rel: bp, Pred: rel.True(), Path: core.PathHeap}, BuildAttr: rel.Unique1,

@@ -97,23 +97,29 @@ func TestKernelEquivalenceSuite(t *testing.T) {
 	}
 }
 
-// tracedWorkload builds a small traced Gamma machine partitioned at the
-// given lookahead, runs a heap selection and an indexed selection, and
-// returns the full trace stream bytes.
-func tracedWorkload(t *testing.T, workers int, fusion string, la sim.Dur) []byte {
+// partitionedSim builds a simulation partitioned at lookahead la on the
+// given worker budget and fusion mode.
+func partitionedSim(workers int, fusion string, la sim.Dur) *sim.Sim {
+	s := sim.New()
+	s.Partition(la)
+	s.SetWorkers(workers)
+	s.SetFusion(Options{Fusion: fusion}.fusionConfig())
+	return s
+}
+
+// tracedWorkload builds a small traced Gamma machine on s, runs a heap
+// selection and an indexed selection, and returns the full trace stream
+// bytes.
+func tracedWorkload(t *testing.T, s *sim.Sim) []byte {
 	t.Helper()
-	return tracedWorkloadOn(t, config.Default(), workers, fusion, la, nil)
+	return tracedWorkloadOn(t, config.Default(), s, nil)
 }
 
 // tracedWorkloadOn is tracedWorkload under explicit hardware parameters,
 // with an optional hook run after the machine is built (floor-tightness
 // tests use it to over-declare a shard's output or channel floor).
-func tracedWorkloadOn(t *testing.T, prm config.Params, workers int, fusion string, la sim.Dur, tweak func(m *core.Machine)) []byte {
+func tracedWorkloadOn(t *testing.T, prm config.Params, s *sim.Sim, tweak func(m *core.Machine)) []byte {
 	t.Helper()
-	s := sim.New()
-	s.Partition(la)
-	s.SetWorkers(workers)
-	s.SetFusion(Options{Fusion: fusion}.fusionConfig())
 	m := core.NewMachine(s, &prm, 4, 4)
 	u1 := rel.Unique1
 	r := m.Load(core.LoadSpec{
@@ -144,18 +150,25 @@ func tracedWorkloadOn(t *testing.T, prm config.Params, workers int, fusion strin
 // Gamma workload is byte-identical on every kernel variant — the headline
 // invariant of the partitioned kernel — both at lookahead 0 (merged global
 // order) and inside truly parallel windows at the latency-floor lookahead.
+// At lookahead 0 the reference is the plain unpartitioned kernel.
 func TestKernelEquivalenceTraces(t *testing.T) {
 	floor := config.Default().Net.MinLatency
 	if floor <= 0 {
 		t.Fatal("default params declare no latency floor")
 	}
 	for _, la := range []sim.Dur{0, floor} {
-		ref := tracedWorkload(t, kernelVariants[0].workers, kernelVariants[0].fusion, la)
-		for _, v := range kernelVariants[1:] {
-			got := tracedWorkload(t, v.workers, v.fusion, la)
+		refName, ref := "plain kernel", tracedWorkload(t, sim.New())
+		variants := kernelVariants
+		if la > 0 {
+			v := kernelVariants[0]
+			refName, ref = "one-worker oracle", tracedWorkload(t, partitionedSim(v.workers, v.fusion, la))
+			variants = kernelVariants[1:]
+		}
+		for _, v := range variants {
+			got := tracedWorkload(t, partitionedSim(v.workers, v.fusion, la))
 			if !bytes.Equal(got, ref) {
-				t.Errorf("%s at lookahead %v: trace stream differs from the one-worker oracle (%d vs %d bytes)",
-					v.name, la, len(got), len(ref))
+				t.Errorf("%s at lookahead %v: trace stream differs from the %s (%d vs %d bytes)",
+					v.name, la, refName, len(got), len(ref))
 			}
 		}
 	}
@@ -198,7 +211,7 @@ func TestLookaheadFloorIsTight(t *testing.T) {
 					t.Fatalf("wrong panic: %v", r)
 				}
 			}()
-			tracedWorkloadOn(t, config.Default(), 1, "", tc.la, tc.tweak)
+			tracedWorkloadOn(t, config.Default(), partitionedSim(1, "", tc.la), tc.tweak)
 		})
 	}
 }
@@ -215,9 +228,10 @@ func TestKernelEquivalenceGenerations(t *testing.T) {
 	for _, gen := range config.Generations() {
 		prm := gen.Params()
 		la := prm.Net.MinLatency
-		ref := tracedWorkloadOn(t, prm, kernelVariants[0].workers, kernelVariants[0].fusion, la, nil)
+		v := kernelVariants[0]
+		ref := tracedWorkloadOn(t, prm, partitionedSim(v.workers, v.fusion, la), nil)
 		for _, v := range kernelVariants[1:] {
-			got := tracedWorkloadOn(t, prm, v.workers, v.fusion, la, nil)
+			got := tracedWorkloadOn(t, prm, partitionedSim(v.workers, v.fusion, la), nil)
 			if !bytes.Equal(got, ref) {
 				t.Errorf("%s on %s: trace stream differs from the one-worker oracle (%d vs %d bytes)",
 					v.name, gen.Name, len(got), len(ref))

@@ -137,7 +137,7 @@ type aggDone struct {
 // RunAgg executes an aggregate query.
 func (m *Machine) RunAgg(q AggQuery) AggResult {
 	scan := m.resolveScan(q.Scan)
-	aggNodes, err := m.joinNodesErr(q.Mode)
+	aggNodes, err := m.JoinNodes(q.Mode)
 	if err != nil {
 		return AggResult{Err: err}
 	}

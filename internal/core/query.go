@@ -106,16 +106,9 @@ func (m *Machine) initOp(p *sim.Proc, node *nose.Node) {
 
 // JoinNodes returns the processors that execute join operators in a mode,
 // excluding crashed nodes (a node with only a failed drive still joins; its
-// spooling was re-pointed at a surviving drive). It is empty when no
-// processor survives; queries then fail with *ErrUnavailable.
-func (m *Machine) JoinNodes(mode JoinMode) []*nose.Node {
-	out, _ := m.joinNodesErr(mode)
-	return out
-}
-
-// joinNodesErr is JoinNodes for the query path: an empty survivor set
-// returns *ErrUnavailable.
-func (m *Machine) joinNodesErr(mode JoinMode) ([]*nose.Node, error) {
+// spooling was re-pointed at a surviving drive). When no processor survives
+// it returns *ErrUnavailable.
+func (m *Machine) JoinNodes(mode JoinMode) ([]*nose.Node, error) {
 	var cand []*nose.Node
 	switch mode {
 	case Local:
@@ -951,7 +944,7 @@ func (m *Machine) tryJoin(p *sim.Proc, ib *inbox, schedPort *nose.Port, q JoinQu
 	// Plan everything that consults only directory state — join sites and
 	// every scan's fragment list — before committing resources, so a plan
 	// that cannot be satisfied fails terminally with nothing to tear down.
-	joinNodes, err := m.joinNodesErr(q.Mode)
+	joinNodes, err := m.JoinNodes(q.Mode)
 	if err != nil {
 		res.Err = err
 		return true
