@@ -78,6 +78,67 @@ func BenchmarkWaitQPingPong(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkSpawn measures a process's whole life: spawn, first resume, one
+// Sleep, exit. One op is one process; every 100 processes share a fresh
+// simulation, so the per-sim setup is amortized the way an operator-heavy
+// query amortizes it.
+func BenchmarkSpawn(b *testing.B) {
+	const perSim = 100
+	body := func(p *Proc) { p.Sleep(1) }
+	b.ReportAllocs()
+	s := New()
+	for i := 0; i < b.N; i++ {
+		s.Spawn("p", body)
+		if (i+1)%perSim == 0 {
+			s.Run()
+			s = New()
+		}
+	}
+	s.Run()
+}
+
+// TestParkWakeZeroAllocs: a steady park/wake cycle allocates nothing,
+// whether it parks in Sleep, queues on a Resource, or parks on a WaitQ and
+// is woken by another process. The measured function runs inside the
+// process, so each count covers the park, the executor's resume and the
+// wake together.
+func TestParkWakeZeroAllocs(t *testing.T) {
+	const runs = 200
+	s := New()
+	r := s.NewResource("r")
+	ping, pong := s.NewWaitQ("ping"), s.NewWaitQ("pong")
+	done := false
+	s.Spawn("partner", func(p *Proc) {
+		for {
+			ping.Park(p)
+			if done {
+				return
+			}
+			pong.WakeOne()
+		}
+	})
+	s.Spawn("measured", func(p *Proc) {
+		for _, c := range []struct {
+			name  string
+			cycle func()
+		}{
+			{"Sleep", func() { p.Sleep(1) }},
+			{"Resource.Use", func() { r.Use(p, 1) }},
+			{"WaitQ", func() {
+				ping.WakeOne()
+				pong.Park(p)
+			}},
+		} {
+			if n := testing.AllocsPerRun(runs, c.cycle); n != 0 {
+				t.Errorf("%s park/wake cycle: %v allocs, want 0", c.name, n)
+			}
+		}
+		done = true
+		ping.WakeOne()
+	})
+	s.Run()
+}
+
 // kernelLookahead is the modeled network latency of the benchmark cluster.
 const kernelLookahead = 10 * Microsecond
 

@@ -359,9 +359,7 @@ func (s *Sim) runGroupMerged(g *group) {
 			sh.wEvents++
 			fired++
 			if e.p != nil {
-				sh.parked--
-				e.p.resume <- struct{}{}
-				<-sh.yield
+				sh.resume(e.p)
 			} else {
 				e.fn()
 			}

@@ -190,13 +190,17 @@ func TestContextFreeSchedulingPanicsInWindow(t *testing.T) {
 
 // TestPartitionedProcessPanicPropagates: a process panic inside a parallel
 // window must surface from Run with the same message a serialized run
-// produces.
+// produces, whether a single-shard window or a fused group's merged loop
+// (runGroupMerged) resumed the process.
 func TestPartitionedProcessPanicPropagates(t *testing.T) {
-	run := func(workers int) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
+	run := func(workers int, fuseAll bool) (msg string, groups int) {
 		s := New()
+		defer func() { msg, groups = fmt.Sprint(recover()), len(s.groups) }()
 		s.Partition(10)
 		s.SetWorkers(workers)
+		if fuseAll {
+			s.SetFusion(Fusion{InitLevel: -1})
+		}
 		a, b := s.AddShard(), s.AddShard()
 		a.Spawn("boom", func(p *Proc) {
 			p.Sleep(5)
@@ -204,14 +208,22 @@ func TestPartitionedProcessPanicPropagates(t *testing.T) {
 		})
 		b.At(0, func() {})
 		s.Run()
-		return "no panic"
+		return "no panic", 0
 	}
-	serial, parallel := run(1), run(2)
+	serial, _ := run(1, false)
+	parallel, _ := run(2, false)
+	fused, groups := run(2, true)
 	if !strings.Contains(serial, `process "boom" panicked: kaboom`) {
 		t.Fatalf("serialized panic message: %q", serial)
 	}
 	if serial != parallel {
 		t.Errorf("panic message differs: serialized %q, parallel %q", serial, parallel)
+	}
+	if groups != 1 {
+		t.Fatalf("fusion-all run scheduled %d groups, want 1 (every shard fused)", groups)
+	}
+	if serial != fused {
+		t.Errorf("panic message differs: serialized %q, fusion-all %q", serial, fused)
 	}
 }
 

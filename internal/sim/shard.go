@@ -19,10 +19,10 @@ type Shard struct {
 	now    Time
 	stamp  uint64 // per-shard scheduling counter (ord source when lookahead > 0)
 
-	// Hand-off channel for this shard's process discipline: a process
-	// signals it after parking; the shard's executor blocks on it after
-	// resuming a process.
-	yield   chan struct{}
+	// Process bookkeeping: parked counts processes waiting for a resume
+	// (including spawned ones not yet started), procs the coroutines whose
+	// bodies have not returned. The executor resumes a process with
+	// Shard.resume; only one of the shard's processes runs at a time.
 	parked  int
 	procs   int
 	failure any // panic value escaped from a process or event on this shard
@@ -68,7 +68,7 @@ type Shard struct {
 }
 
 func newShard(s *Sim, id int) *Shard {
-	return &Shard{id: id, s: s, yield: make(chan struct{})}
+	return &Shard{id: id, s: s}
 }
 
 // ID returns the shard's index (0 for the default shard).

@@ -1,13 +1,15 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Simulated activities ("processes") are ordinary goroutines, but they run
-// under a strict hand-off discipline: within one shard, exactly one
-// goroutine — either the shard's event loop or a single process — executes
-// at any moment, so process code needs no locking and every run of a
-// simulation is deterministic. Processes advance the virtual clock only by
-// blocking in kernel primitives (Sleep, Resource.Use, WaitQ.Park); pure
-// computation takes zero simulated time unless it is explicitly charged to
-// a Resource.
+// Simulated activities ("processes") are coroutines built on iter.Pull.
+// Within one shard exactly one of them — or the shard's event loop — runs at
+// any moment: the loop resumes a process by calling its coroutine's next,
+// and the process parks by calling yield, which switches straight back to
+// the loop without a trip through the Go scheduler. Process code therefore
+// needs no locking and every run of a simulation is deterministic.
+// Processes advance the virtual clock only by blocking in kernel primitives
+// (Sleep, Resource.Use, WaitQ.Park); pure computation takes zero simulated
+// time unless it is explicitly charged to a Resource. Race-detector builds
+// back the same contract with a goroutine per process (coro_race.go).
 //
 // The kernel is the substrate on which the Gamma and Teradata machine models
 // are built: CPUs, disks, and network interfaces are Resources, and operator
@@ -359,14 +361,22 @@ func (s *Sim) At(t Time, fn func()) {
 // After schedules fn to run d from now.
 func (s *Sim) After(d Dur, fn func()) { s.At(s.now+d, fn) }
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by its
-// home shard. All Proc methods must be called from the process's own
-// goroutine, except Kill, which is called from kernel context.
+// Proc is a simulated process: a coroutine (iter.Pull) scheduled
+// cooperatively by its home shard. Resuming it is a direct coroutine switch
+// from the shard's executor into the process body, and parking switches
+// straight back — no channel operation and no trip through the Go
+// scheduler. All Proc methods must be called from the process's own body,
+// except Kill, which is called from kernel context.
 type Proc struct {
-	sim     *Sim
-	shard   *Shard
-	name    string
-	resume  chan struct{}
+	sim   *Sim
+	shard *Shard
+	name  string
+	// next runs the body until it parks or returns; yield, called from the
+	// body, parks it and returns control to the caller of next (see
+	// newCoroutine). A yield that reports false means the coroutine was
+	// stopped rather than resumed.
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
 	killed  bool
 	wq      *WaitQ // wait queue the process is parked on, if any
 	wqIdx   int    // slot in wq.procs, cached for O(1) removal
@@ -397,16 +407,24 @@ func (p *Proc) Tracef(format string, args ...any) {
 	}
 }
 
-// park suspends the process until some event calls wake. It transfers
-// control back to the shard's event loop.
+// park suspends the process until some event calls wake, switching back to
+// the shard's executor. A killed or stopped process unwinds instead of
+// carrying on.
 func (p *Proc) park() {
-	sh := p.shard
-	sh.parked++
-	sh.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	p.shard.parked++
+	if !p.yield(struct{}{}) || p.killed {
 		panic(killSentinel{})
 	}
+}
+
+// resume hands the shard's executor to parked process p until it parks
+// again or exits. The executor is Run's goroutine or the window worker that
+// holds the shard this window; a shard runs on one worker at a time, so a
+// coroutine is never resumed from two goroutines at once. The caller checks
+// sh.failure afterwards.
+func (sh *Shard) resume(p *Proc) {
+	sh.parked--
+	p.next()
 }
 
 // killSentinel unwinds a killed process's stack; the spawn wrapper absorbs
@@ -478,12 +496,15 @@ func (s *Sim) SpawnOn(sh *Shard, name string, fn func(p *Proc)) *Proc {
 	return s.spawnOn(sh, s.now, name, fn)
 }
 
-// spawnOn starts fn as a process homed on sh, first resumed at time t.
+// spawnOn creates fn's coroutine homed on sh and schedules its first resume
+// at time t. The coroutine body recovers every panic: a kill is a clean
+// exit, anything else is recorded as the shard's failure for the executor
+// to rethrow, so no panic ever crosses a resume.
 func (s *Sim) spawnOn(sh *Shard, t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, shard: sh, name: name, resume: make(chan struct{})}
+	p := &Proc{sim: s, shard: sh, name: name}
 	sh.procs++
-	go func() {
-		<-p.resume
+	p.next = newCoroutine(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			sh.procs--
 			if r := recover(); r != nil {
@@ -491,14 +512,13 @@ func (s *Sim) spawnOn(sh *Shard, t Time, name string, fn func(p *Proc)) *Proc {
 					sh.failure = procPanic{name: name, val: r}
 				}
 			}
-			sh.yield <- struct{}{}
 		}()
 		if !p.killed {
 			fn(p)
 		}
-	}()
-	// The start is an ordinary wake: the goroutine above is "parked" on its
-	// resume channel until the start event fires.
+	})
+	// The start is an ordinary wake: the coroutine has not run yet, so its
+	// first resume enters the body.
 	sh.parked++
 	p.wake(t)
 	return p
@@ -521,9 +541,7 @@ func (s *Sim) fireSerial(sh *Shard, e event) {
 	s.cur = sh
 	s.executed++
 	if e.p != nil {
-		sh.parked--
-		e.p.resume <- struct{}{}
-		<-sh.yield
+		sh.resume(e.p)
 	} else {
 		e.fn()
 	}
@@ -1161,9 +1179,7 @@ func (s *Sim) runShardWindow(sh *Shard) {
 		sh.executed++
 		sh.wEvents++
 		if e.p != nil {
-			sh.parked--
-			e.p.resume <- struct{}{}
-			<-sh.yield
+			sh.resume(e.p)
 		} else {
 			e.fn()
 		}
